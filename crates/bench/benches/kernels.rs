@@ -21,6 +21,51 @@ fn bench_matmul(c: &mut Timer) {
     group.finish();
 }
 
+/// The distinct forward products `[m, k] · [n, k]ᵀ` of the end-to-end
+/// benchmark's `grid` workload at batch 64: LeNet-300-100 on 16×16 inputs
+/// and ResNet-8 (width 4) on 3×16×16 inputs, where a conv's `m` is
+/// `batch · out_h · out_w` im2col rows and its `n` the filter count.
+/// ResNet-8's two stage-1 convs share one shape.
+const GRID_FORWARD: &[(&str, usize, usize, usize)] = &[
+    ("lenet300.fc1", 64, 256, 300),
+    ("lenet300.fc2", 64, 300, 100),
+    ("lenet300.fc3", 64, 100, 10),
+    ("resnet8.stem", 16384, 27, 4),
+    ("resnet8.stage1.conv", 16384, 36, 4),
+    ("resnet8.stage2.conv1", 4096, 36, 8),
+    ("resnet8.stage2.conv2", 4096, 72, 8),
+    ("resnet8.stage2.shortcut", 4096, 4, 8),
+    ("resnet8.stage3.conv1", 1024, 72, 16),
+    ("resnet8.stage3.conv2", 1024, 144, 16),
+    ("resnet8.stage3.shortcut", 1024, 8, 16),
+    ("resnet8.classifier", 64, 16, 10),
+];
+
+/// `matmul_transposed` on the grid's real layer shapes, then a table of
+/// ns per multiply-add, since the shapes' costs differ by 100×.
+fn bench_layer_shapes(c: &mut Timer) {
+    const GROUP: &str = "matmul-transposed-grid";
+    let mut group = c.benchmark_group(GROUP);
+    for &(name, m, k, n) in GRID_FORWARD {
+        let mut rng = Rng::seed_from(4);
+        let a = Tensor::rand_normal(&[m, k], 0.0, 1.0, &mut rng);
+        let b = Tensor::rand_normal(&[n, k], 0.0, 1.0, &mut rng);
+        group.bench_function(format!("{name}-{m}x{k}x{n}"), |bench| {
+            bench.iter(|| std::hint::black_box(a.matmul_transposed(&b)))
+        });
+    }
+    group.finish();
+    let timed = &c.results()[c.results().len() - GRID_FORWARD.len()..];
+    eprintln!("\n{GROUP}: ns per multiply-add");
+    for (&(name, m, k, n), t) in GRID_FORWARD.iter().zip(timed) {
+        let shape = format!("[{m},{k}]·[{n},{k}]ᵀ");
+        let ns_per_mac = t.ns_per_iter / (m * k * n) as f64;
+        eprintln!("  {name:<24} {shape:<22} {ns_per_mac:>6.3}");
+    }
+    let total_ms = timed.iter().map(|t| t.ns_per_iter).sum::<f64>() / 1e6;
+    eprintln!("  sum of one pass over every shape: {total_ms:.2} ms");
+}
+
 fn bench_im2col(c: &mut Timer) {
     let geom = Conv2dGeometry {
         in_channels: 8,
@@ -88,6 +133,7 @@ fn bench_model_forward(c: &mut Timer) {
 fn main() {
     let mut timer = Timer::new();
     bench_matmul(&mut timer);
+    bench_layer_shapes(&mut timer);
     bench_im2col(&mut timer);
     bench_conv_forward_backward(&mut timer);
     bench_model_forward(&mut timer);

@@ -10,10 +10,16 @@
 //! random initialization.
 //!
 //! The design goal is *auditability over peak speed*: every kernel is a
-//! straightforward loop nest that can be verified against the reference
-//! formula, because the experiments built on top (the ShrinkBench
-//! reproduction) care about correctness of gradients and pruning masks, not
-//! about GPU-class throughput.
+//! safe-Rust loop nest that can be verified against the reference formula,
+//! because the experiments built on top (the ShrinkBench reproduction) care
+//! about correctness of gradients and pruning masks, not about GPU-class
+//! throughput. The one kernel shaped for speed is the forward product
+//! [`Tensor::matmul_transposed`], which computes a register tile of outputs
+//! at a time over a packed copy of its right-hand side. It keeps the
+//! reference formula's exact float order: each output starts at `0.0` and
+//! adds its products one at a time in ascending `k`, with no fused
+//! multiply-add, so its results are bit-identical to the plain dot-product
+//! loop.
 //!
 //! # Example
 //!

@@ -1,16 +1,51 @@
 //! Matrix multiplication kernels.
 //!
-//! A cache-friendly `ikj` loop order with a transposed-operand variant; no
-//! unsafe, no SIMD intrinsics. These are the hot kernels for both linear
-//! layers and (via im2col) convolutions.
+//! These are the hot kernels for both linear layers and (via im2col)
+//! convolutions, written in safe Rust with no SIMD intrinsics.
+//!
+//! - [`Tensor::matmul_transposed`] is the forward kernel of every `Linear`
+//!   and `Conv2d`, in training and in evaluation. It packs `rhs` once per
+//!   call into [`NR`]-wide column panels ([`NR_NARROW`]-wide when there
+//!   are at most that many outputs per row) and computes [`MR`]-row tiles,
+//!   holding a tile's accumulators in registers while stepping `kk`
+//!   upward. The tile's independent accumulators are what let the compiler
+//!   vectorize it at the default SSE2 target; a one-output-at-a-time dot
+//!   product is a serial chain of adds, bound by add latency.
+//! - [`Tensor::matmul`] and [`Tensor::transposed_matmul`] (the backward
+//!   kernels) use an `ikj`-style order whose innermost loop walks a row of
+//!   outputs, so they vectorize across outputs as written. They skip the
+//!   products whose left-hand factor is zero (ReLU-zeroed gradients,
+//!   pruned weights).
+//!
+//! **Order invariant.** Each output element starts at `0.0` and adds its
+//! products `a·b` one at a time in ascending `kk`, as separate multiplies
+//! and adds (never a fused multiply-add). The tile only changes which
+//! outputs are in flight together, never the operations that produce one
+//! of them, so `matmul_transposed` is bit-identical to the plain
+//! dot-product loop. `crates/tensor/tests/properties.rs` checks that bit
+//! for bit, and `crates/nn/tests/training_digest.rs` pins the bits of a
+//! few training steps.
 //!
 //! The kernels parallelize over **disjoint blocks of output rows** via
-//! `sb_runtime::for_each_chunk_mut`. Each output element is still
-//! accumulated by exactly one task in the exact `kk`-ascending order the
-//! sequential loop uses, so results are bit-identical for any
-//! `SB_RUNTIME_THREADS`, including 1 (which runs the same blocks inline).
+//! `sb_runtime::for_each_chunk_mut`, with block sizes that depend only on
+//! the shape. Each output element is accumulated by exactly one task, so
+//! results are bit-identical for any `SB_RUNTIME_THREADS`, including 1
+//! (which runs the same blocks inline).
 
 use crate::tensor::Tensor;
+
+/// Output rows per register tile of [`Tensor::matmul_transposed`].
+const MR: usize = 4;
+
+/// Output columns per packed panel of [`Tensor::matmul_transposed`]'s
+/// right-hand side: two SSE2 vectors of `f32`, so an `MR × NR` tile is 8
+/// vector accumulators.
+const NR: usize = 8;
+
+/// The panel width for products with at most 4 outputs per row (the
+/// 4-filter convs of a width-4 ResNet), where an [`NR`]-wide panel would
+/// be half padding.
+const NR_NARROW: usize = 4;
 
 /// Output rows per parallel task, targeting ~32k mul-adds per task so
 /// tiny matrices stay single-chunk (inline) and large ones split evenly.
@@ -18,6 +53,78 @@ use crate::tensor::Tensor;
 /// is what keeps chunk boundaries (and thus results) deterministic.
 fn rows_per_task(work_per_row: usize, m: usize) -> usize {
     (32_768 / work_per_row.max(1)).clamp(1, m.max(1))
+}
+
+/// Packs `b` (`[n, k]`, row-major) into `⌈n / W⌉` panels of `k × W`:
+/// panel `p` holds `b[p·W + c][kk]` at `kk·W + c`, zero-padded past
+/// row `n` of `b`, so one `kk` step of a tile reads `W` adjacent values.
+fn pack_panels<const W: usize>(b: &[f32], n: usize, k: usize) -> Vec<f32> {
+    let mut panels = vec![0.0f32; n.div_ceil(W) * k * W];
+    for (j, b_row) in b.chunks_exact(k).enumerate() {
+        let panel = &mut panels[(j / W) * k * W..][..k * W];
+        for (slot, &v) in panel.iter_mut().skip(j % W).step_by(W).zip(b_row) {
+            *slot = v;
+        }
+    }
+    panels
+}
+
+/// `out = a · bᵀ` for `a: [m, k]` and `b: [n, k]` (`k > 0`, `out`
+/// non-empty) over `W`-wide panels of `b`, in parallel blocks of
+/// `rows_per` output rows. `rows_per` is a multiple of [`MR`], so only the
+/// matrix's last tile can have fewer rows; its rows run one at a time.
+fn tiled_product<const W: usize>(
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    n: usize,
+    rows_per: usize,
+    out: &mut [f32],
+) {
+    let panels = pack_panels::<W>(b, n, k);
+    sb_runtime::for_each_chunk_mut(out, rows_per * n, |ci, block| {
+        let a_block = &a[ci * rows_per * k..];
+        for (out_tile, a_tile) in block.chunks_mut(MR * n).zip(a_block.chunks(MR * k)) {
+            if out_tile.len() == MR * n {
+                row_tile::<MR, W>(a_tile, k, &panels, out_tile);
+            } else {
+                for (out_row, a_row) in out_tile.chunks_mut(n).zip(a_tile.chunks(k)) {
+                    row_tile::<1, W>(a_row, k, &panels, out_row);
+                }
+            }
+        }
+    });
+}
+
+/// Computes `R` output rows of `a · bᵀ` (`a_tile` is `R × k`, `out_tile`
+/// is `R × n`), one `R × W` tile per panel. Each accumulator starts at
+/// `0.0` and adds `a[r][kk] · b[j][kk]` in ascending `kk`: the plain dot
+/// product's order, with `R · W` independent chains in flight instead of
+/// one. The last panel's padding columns are computed and dropped.
+fn row_tile<const R: usize, const W: usize>(
+    a_tile: &[f32],
+    k: usize,
+    panels: &[f32],
+    out_tile: &mut [f32],
+) {
+    let n = out_tile.len() / R;
+    let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a_tile[r * k..(r + 1) * k]);
+    for (p, panel) in panels.chunks_exact(k * W).enumerate() {
+        let mut acc = [[0.0f32; W]; R];
+        for (kk, b) in panel.chunks_exact(W).enumerate() {
+            for (acc_row, a_row) in acc.iter_mut().zip(&a_rows) {
+                let av = a_row[kk];
+                for (o, &bv) in acc_row.iter_mut().zip(b) {
+                    *o += av * bv;
+                }
+            }
+        }
+        let j0 = p * W;
+        let width = W.min(n - j0);
+        for (out_row, acc_row) in out_tile.chunks_exact_mut(n).zip(&acc) {
+            out_row[j0..j0 + width].copy_from_slice(&acc_row[..width]);
+        }
+    }
 }
 
 impl Tensor {
@@ -38,6 +145,9 @@ impl Tensor {
             rhs.shape()
         );
         let mut out = vec![0.0f32; m * n];
+        if out.is_empty() {
+            return Tensor::from_vec(out, &[m, n]).expect("shape computed above");
+        }
         let a = self.data();
         let b = rhs.data();
         let rows_per = rows_per_task(k * n, m);
@@ -64,8 +174,12 @@ impl Tensor {
 
     /// `self × rhsᵀ` for 2-D tensors: `[m, k] × ([n, k])ᵀ → [m, n]`.
     ///
-    /// Equivalent to `self.matmul(&rhs.transpose2())` without materializing
-    /// the transpose; used by backward passes.
+    /// The forward kernel of `Linear` (activations × weightsᵀ) and
+    /// `Conv2d` (im2col rows × filtersᵀ). It packs `rhs` into column
+    /// panels and computes a block of outputs (4 rows by up to 8 columns)
+    /// at a time, with results bit-identical to computing each output on
+    /// its own as `Σ self[i][kk] · rhs[j][kk]`, added in ascending `kk`
+    /// from `0.0`.
     ///
     /// # Panics
     ///
@@ -82,23 +196,19 @@ impl Tensor {
             rhs.shape()
         );
         let mut out = vec![0.0f32; m * n];
-        let a = self.data();
-        let b = rhs.data();
-        let rows_per = rows_per_task(k * n, m);
-        sb_runtime::for_each_chunk_mut(&mut out, rows_per * n, |ci, block| {
-            let row0 = ci * rows_per;
-            for (r, out_row) in block.chunks_mut(n).enumerate() {
-                let a_row = &a[(row0 + r) * k..(row0 + r + 1) * k];
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    let b_row = &b[j * k..(j + 1) * k];
-                    let mut acc = 0.0f32;
-                    for (&av, &bv) in a_row.iter().zip(b_row) {
-                        acc += av * bv;
-                    }
-                    *o = acc;
-                }
-            }
-        });
+        if out.is_empty() || k == 0 {
+            return Tensor::from_vec(out, &[m, n]).expect("shape computed above");
+        }
+        // Blocks of whole tiles: a wide product (LeNet-300's fc1 is 76.8k
+        // mul-adds per row) would otherwise get one-row blocks, which
+        // leave a tile one row tall.
+        let rows_per = rows_per_task(k * n, m).next_multiple_of(MR);
+        let (a, b) = (self.data(), rhs.data());
+        if n <= NR_NARROW {
+            tiled_product::<NR_NARROW>(a, b, k, n, rows_per, &mut out);
+        } else {
+            tiled_product::<NR>(a, b, k, n, rows_per, &mut out);
+        }
         Tensor::from_vec(out, &[m, n]).expect("shape computed above")
     }
 
@@ -122,6 +232,9 @@ impl Tensor {
             rhs.shape()
         );
         let mut out = vec![0.0f32; m * n];
+        if out.is_empty() {
+            return Tensor::from_vec(out, &[m, n]).expect("shape computed above");
+        }
         let a = self.data();
         let b = rhs.data();
         let rows_per = rows_per_task(k * n, m);
@@ -220,6 +333,24 @@ mod tests {
         let a = Tensor::zeros(&[2, 3]);
         let b = Tensor::zeros(&[2, 3]);
         let _ = a.matmul(&b);
+    }
+
+    #[test]
+    fn matmul_with_zero_output_columns_is_empty() {
+        let c = Tensor::zeros(&[2, 3]).matmul(&Tensor::zeros(&[3, 0]));
+        assert_eq!(c.dims(), &[2, 0]);
+    }
+
+    #[test]
+    fn matmul_transposed_with_zero_output_columns_is_empty() {
+        let c = Tensor::zeros(&[2, 3]).matmul_transposed(&Tensor::zeros(&[0, 3]));
+        assert_eq!(c.dims(), &[2, 0]);
+    }
+
+    #[test]
+    fn transposed_matmul_with_zero_output_columns_is_empty() {
+        let c = Tensor::zeros(&[3, 2]).transposed_matmul(&Tensor::zeros(&[3, 0]));
+        assert_eq!(c.dims(), &[2, 0]);
     }
 
     #[test]

@@ -100,6 +100,10 @@ impl SparseMatrix {
     /// # Panics
     ///
     /// Panics if `r >= self.rows()`.
+    ///
+    /// Inlined because callers in other crates call it once per output
+    /// row inside their kernels' hot loops.
+    #[inline]
     pub fn row(&self, r: usize) -> (&[u32], &[f32]) {
         let (lo, hi) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
         (&self.col_idx[lo..hi], &self.values[lo..hi])

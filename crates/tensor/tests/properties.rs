@@ -309,3 +309,93 @@ fn sparse_matmul_agrees_with_dense() {
         },
     );
 }
+
+/// Pinned seed of the `matmul_transposed` register-tile suite below.
+const TILE_SUITE: u64 = 0x7E45_0010;
+
+/// `a · bᵀ` for `a: [m, k]`, `b: [n, k]` in the order `matmul_transposed`
+/// promises: each output starts at `0.0` and adds `a[i][kk] · b[j][kk]`
+/// one product at a time in ascending `kk`.
+fn ascending_dot_reference(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut out = Vec::with_capacity(m * n);
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for kk in 0..k {
+                acc += a[i * k + kk] * b[j * k + kk];
+            }
+            out.push(acc);
+        }
+    }
+    out
+}
+
+/// Mostly finite values; with `specials` on, about one in eight is
+/// `±0.0` or `±∞`.
+fn tile_value(rng: &mut Rng, specials: bool) -> f32 {
+    match (specials, rng.below(32)) {
+        (true, 0) => 0.0,
+        (true, 1) => -0.0,
+        (true, 2) => f32::INFINITY,
+        (true, 3) => f32::NEG_INFINITY,
+        _ => rng.uniform(-4.0, 4.0),
+    }
+}
+
+/// A dimension from 0 to 40 that is usually not a tile multiple, with
+/// extra weight on 1 and on the edges around 0.
+fn tile_dim(rng: &mut Rng) -> usize {
+    match rng.below(5) {
+        0 => 1,
+        1 => rng.below(5),
+        _ => rng.below(41),
+    }
+}
+
+#[test]
+fn matmul_transposed_is_bitwise_the_ascending_dot() {
+    check(
+        "tensor::matmul_transposed_is_bitwise_the_ascending_dot",
+        Config::new(TILE_SUITE).cases(256),
+        |rng| {
+            let m = tile_dim(rng);
+            // One case in eight is a wide product (k·n > 32k), which the
+            // kernel splits into one-tile row blocks.
+            let (k, n) = if rng.below(8) == 0 {
+                (rng.below(100) + 1000, rng.below(8) + 33)
+            } else {
+                (tile_dim(rng), tile_dim(rng))
+            };
+            ((m, k, n), rng.below(1 << 20) as u64, rng.coin(0.5))
+        },
+        |&((m, k, n), seed, specials)| {
+            let mut rng = Rng::seed_from(seed);
+            let a: Vec<f32> = (0..m * k).map(|_| tile_value(&mut rng, specials)).collect();
+            let b: Vec<f32> = (0..n * k).map(|_| tile_value(&mut rng, specials)).collect();
+            let ta = Tensor::from_vec(a.clone(), &[m, k]).unwrap();
+            let tb = Tensor::from_vec(b.clone(), &[n, k]).unwrap();
+            let got = ta.matmul_transposed(&tb);
+            prop_assert_eq!(got.dims(), &[m, n]);
+            let want = ascending_dot_reference(&a, &b, m, k, n);
+            for (idx, (&g, &w)) in got.data().iter().zip(&want).enumerate() {
+                // IEEE leaves a NaN's sign unspecified, and the compiler
+                // may commute an add; only the NaN's position is pinned.
+                if w.is_nan() {
+                    prop_assert!(g.is_nan(), "[{}, {}]: {} where NaN", idx / n, idx % n, g);
+                } else {
+                    prop_assert!(
+                        g.to_bits() == w.to_bits(),
+                        "[{}, {}]: {:e} ({:#010x}) vs reference {:e} ({:#010x})",
+                        idx / n,
+                        idx % n,
+                        g,
+                        g.to_bits(),
+                        w,
+                        w.to_bits()
+                    );
+                }
+            }
+            Ok(())
+        },
+    );
+}
