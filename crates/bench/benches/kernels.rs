@@ -3,7 +3,7 @@
 
 use sb_bench::timer::{BatchSize, Timer};
 use sb_nn::{models, Layer, Mode, Network};
-use sb_tensor::{im2col, Conv2dGeometry, Rng, Tensor};
+use sb_tensor::{im2col, Conv2dGeometry, PackedRhs, Rng, Tensor};
 
 fn bench_matmul(c: &mut Timer) {
     let mut group = c.benchmark_group("matmul");
@@ -64,6 +64,60 @@ fn bench_layer_shapes(c: &mut Timer) {
     }
     let total_ms = timed.iter().map(|t| t.ns_per_iter).sum::<f64>() / 1e6;
     eprintln!("  sum of one pass over every shape: {total_ms:.2} ms");
+}
+
+/// sb-infer's dense products for one 8-sample batch block (the default
+/// `batch_block`), as `[m, k] · [n, k]ᵀ`: LeNet-300-100's fc1 and fc2 on
+/// 16×16 inputs, and the im2col rows of LeNet-5's convs (1×16×16 input)
+/// and of ResNet-20's (width 4, 3×16×16 input) stage-1 and stage-3 convs.
+const INFER_DENSE_BLOCK: &[(&str, usize, usize, usize)] = &[
+    ("lenet300.fc1", 8, 256, 300),
+    ("lenet300.fc2", 8, 300, 100),
+    ("lenet5.conv1", 2048, 25, 6),
+    ("lenet5.conv2", 512, 150, 16),
+    ("resnet20.stage1.conv", 2048, 36, 4),
+    ("resnet20.stage3.conv", 128, 144, 16),
+];
+
+/// The register tile on sb-infer's dense shapes, two ways: over weights
+/// packed once (what a compiled model does) and through
+/// `matmul_transposed`, which packs `b` and allocates its output on every
+/// call. Prints a table of ns per multiply-add; run it at
+/// `SB_RUNTIME_THREADS=1`, since `matmul_transposed` fans the larger
+/// shapes out over row blocks and a compiled model never does.
+fn bench_infer_dense_block(c: &mut Timer) {
+    const GROUP: &str = "infer-dense-block";
+    let mut group = c.benchmark_group(GROUP);
+    for &(name, m, k, n) in INFER_DENSE_BLOCK {
+        let mut rng = Rng::seed_from(5);
+        let a = Tensor::rand_normal(&[m, k], 0.0, 1.0, &mut rng);
+        let b = Tensor::rand_normal(&[n, k], 0.0, 1.0, &mut rng);
+        let packed = PackedRhs::pack(&b);
+        let mut out = vec![0.0f32; m * n];
+        group.bench_function(format!("{name}-packed-once"), |bench| {
+            bench.iter(|| {
+                packed.matmul_rows(a.data(), &mut out);
+                std::hint::black_box(&out);
+            })
+        });
+        group.bench_function(format!("{name}-matmul-transposed"), |bench| {
+            bench.iter(|| std::hint::black_box(a.matmul_transposed(&b)))
+        });
+    }
+    group.finish();
+    let timed = &c.results()[c.results().len() - 2 * INFER_DENSE_BLOCK.len()..];
+    eprintln!("\n{GROUP}: ns per multiply-add");
+    let header = ("layer", "[m,k]·[n,k]ᵀ", "packed once", "matmul_transposed");
+    eprintln!(
+        "  {:<22} {:<22} {:>11} {:>17}",
+        header.0, header.1, header.2, header.3
+    );
+    for (&(name, m, k, n), t) in INFER_DENSE_BLOCK.iter().zip(timed.chunks_exact(2)) {
+        let shape = format!("[{m},{k}]·[{n},{k}]ᵀ");
+        let macs = (m * k * n) as f64;
+        let (once, per_call) = (t[0].ns_per_iter / macs, t[1].ns_per_iter / macs);
+        eprintln!("  {name:<22} {shape:<22} {once:>11.3} {per_call:>17.3}");
+    }
 }
 
 fn bench_im2col(c: &mut Timer) {
@@ -134,6 +188,7 @@ fn main() {
     let mut timer = Timer::new();
     bench_matmul(&mut timer);
     bench_layer_shapes(&mut timer);
+    bench_infer_dense_block(&mut timer);
     bench_im2col(&mut timer);
     bench_conv_forward_backward(&mut timer);
     bench_model_forward(&mut timer);

@@ -11,7 +11,7 @@
 use sb_bench::timer::Timer;
 use sb_infer::formats::{BitmapMatrix, BsrMatrix, BSR_BLOCK_W};
 use sb_infer::{CompileOptions, CompiledModel, ExecFormat};
-use sb_tensor::{Rng, SparseMatrix, Tensor};
+use sb_tensor::{PackedRhs, Rng, SparseMatrix, Tensor};
 use shrinkbench::structured::FilterNorm;
 use shrinkbench::{GlobalMagnitude, Pruner};
 
@@ -46,11 +46,15 @@ fn bench_realized_speedup(c: &mut Timer) {
 
 /// Single-threaded per-format row kernels on conv2-shaped data (im2col
 /// rows of a late conv layer: short rows, weight reused across every
-/// spatial position). These are the measurements behind the cost-model
-/// constants in `crates/infer/src/compile.rs`: divide each format's
-/// ns/iter by its executed lanes to get the per-lane cost relative to
-/// the dense stream. The dense and CSR loops replicate the (private)
-/// `sb-infer` exec kernels exactly.
+/// spatial position): divide each format's ns/iter by its executed lanes
+/// to get its per-lane cost relative to the dense kernel. The dense row
+/// runs sb-tensor's register tile over weights packed once, then adds the
+/// bias, as `sb-infer`'s dense kernel does; the CSR loop replicates the
+/// (private) `sb-infer` CSR kernel exactly. The cost-model constants in
+/// `crates/infer/src/compile.rs` were fit on this group when its dense
+/// row was the single-accumulator dot product that `sb-infer` ran before
+/// the tile (850 µs per iteration here on the calibration host), so they
+/// are in units of that retired scalar lane.
 fn bench_conv_row_kernels(c: &mut Timer) {
     let (out_f, in_cols, n_rows) = (16usize, 200usize, 512usize);
     let mut rng = Rng::seed_from(7);
@@ -59,18 +63,13 @@ fn bench_conv_row_kernels(c: &mut Timer) {
     let mut y = vec![0.0f32; n_rows * out_f];
     let mut group = c.benchmark_group("conv-row-kernels-16x200xr512");
 
-    let dense_w = random_sparse(out_f, in_cols, 1.0, 8);
+    let dense_w = PackedRhs::pack(&random_sparse(out_f, in_cols, 1.0, 8));
     group.bench_function("dense", |b| {
         b.iter(|| {
-            let wd = dense_w.data();
-            for (xr, yr) in x.data().chunks_exact(in_cols).zip(y.chunks_exact_mut(out_f)) {
-                for (j, o) in yr.iter_mut().enumerate() {
-                    let wr = &wd[j * in_cols..(j + 1) * in_cols];
-                    let mut acc = 0.0f32;
-                    for (&xv, &wv) in xr.iter().zip(wr) {
-                        acc += xv * wv;
-                    }
-                    *o = acc + bias[j];
+            dense_w.matmul_rows(x.data(), &mut y);
+            for yr in y.chunks_exact_mut(out_f) {
+                for (o, &bv) in yr.iter_mut().zip(&bias) {
+                    *o += bv;
                 }
             }
             std::hint::black_box(&y);

@@ -1073,7 +1073,7 @@ pub fn format_crossover(paths: &OutputPaths) -> String {
         )
     };
     out.push_str(&format!(
-        "\nReading: each point is a median-of-{k} whole-model forward against one shared dense-compiled baseline (the dense row gauges measurement noise). CSR pays per-nonzero index chasing, so it only runs away at extreme sparsity; BSR amortizes indexing over 4-wide vector lanes and takes the convolution layers at low-to-mid ratios; the bitmap kernel spends storage (dense values + occupancy masks) on a branch-free inner loop that closes in at high ratios; {crossover_note}.\n",
+        "\nReading: each point is a median-of-{k} whole-model forward against one shared dense-compiled baseline, timed in interleaved rounds (the dense row gauges measurement noise). The baseline runs the register-tiled dense kernel, so a sparse format has to beat a vectorized dense loop: CSR pays per-nonzero index chasing and only nears dense at extreme sparsity; BSR amortizes indexing over 4-wide vector lanes and beats CSR on the convolution layers at low-to-mid ratios; the bitmap kernel spends storage (dense values + occupancy masks) on a branch-free inner loop that closes in at high ratios; {crossover_note}.\n",
     ));
     save(paths, "format-crossover", &out, Some(&table));
     out

@@ -17,22 +17,34 @@
 
 use crate::plan::{ExecFormat, FeatureShape, Kernel, LayerPlan, Planned, Step};
 use sb_nn::{models::Model, LayerSpec, Network};
-use sb_tensor::{Conv2dGeometry, SparseMatrix, Tensor};
+use sb_tensor::{Conv2dGeometry, PackedRhs, SparseMatrix, Tensor};
 
 // Cost-model constants: relative cost of each format's unit of work
-// against one dense lane (one scalar multiply-add of the reference
-// dense kernel, ~0.6 ns on the calibration host). The values are
-// measured on the `realized` bench's conv-row kernels
+// against one lane of the *retired scalar* dense kernel (one multiply-add
+// of the single-accumulator dot product the `Dense` format used to run,
+// ~0.6 ns on the calibration host). The values are measured on the
+// `realized` bench's conv-row kernels
 // (`cargo bench -p sb-bench --bench realized`, "conv-row-kernels" group)
 // and sanity-pinned by the crossover regression test in
 // `crates/infer/tests/formats.rs`; see DESIGN.md for the derivation.
 // Per-row fits drift ±20% between runs on a shared host, so the
 // constants are rounded, not exact — the regression test pins the
 // *regime structure*, not the third decimal.
+//
+// The `Dense` format now runs sb-tensor's register tile over weights
+// packed at compile time, at 0.1–0.4 ns per multiply-add, but
+// `Compiler::choose` still charges it 1.0 per lane. Against the tile
+// these constants underprice every sparse format, so the cost model
+// picks some formats that run slower than dense (in the end-to-end
+// benchmark, LeNet-5 at 4× unstructured compiles to BSR and bitmap and
+// takes 6.0 ms per batch-64 forward against 3.5 ms forced dense, on a
+// 2-vCPU x86-64 host). Until the constants are re-fit in tiled units,
+// they keep their scalar-lane values so that every compiled format stays
+// as it was.
 
-/// Relative per-MAC cost of the CSR kernel vs. a dense lane: the
+/// Relative per-MAC cost of the CSR kernel vs. a scalar dense lane: the
 /// indirect column load and the serial accumulate make a stored nonzero
-/// ~1.3× a dense lane on the calibration host.
+/// ~1.3× a scalar lane on the calibration host.
 const CSR_MAC_COST: f64 = 1.3;
 
 /// Fixed per-output-row overhead (row-pointer loads, short-row ramp-up,
@@ -41,8 +53,10 @@ const CSR_ROW_COST: f64 = 5.0;
 
 /// Per-lane cost of a stored BSR block lane. The block inner loop keeps
 /// per-lane vector accumulators (no horizontal reduction per block), so
-/// a stored lane runs ~2× *faster* than the order-pinned scalar dense
-/// kernel — which is why BSR can win even at moderate occupancy.
+/// a stored lane runs ~2× *faster* than a lane of the retired scalar
+/// dense kernel — which is why the model lets BSR win even at moderate
+/// occupancy. The register-tiled dense kernel is faster per lane than
+/// BSR: forced-BSR LeNet-5 at 16× runs at 0.75–0.86× of forced dense.
 const BSR_LANE_COST: f64 = 0.5;
 
 /// Per-block overhead of the BSR kernel: one column-index load and the
@@ -55,8 +69,8 @@ const BSR_BLOCK_COST: f64 = 0.4;
 const BSR_ROW_COST: f64 = 4.0;
 
 /// Per-set-bit cost of the bitmap kernel: `trailing_zeros` + clear +
-/// two indexed loads. Slightly over a dense lane, but with no index
-/// array to stream — the win over CSR comes from the row terms.
+/// two indexed loads. Slightly over a scalar dense lane, but with no
+/// index array to stream — the win over CSR comes from the row terms.
 const BITMAP_MAC_COST: f64 = 1.1;
 
 /// Per-64-column-word scan cost of the bitmap kernel; this fixed floor
@@ -68,7 +82,7 @@ const BITMAP_WORD_COST: f64 = 3.0;
 const BITMAP_ROW_COST: f64 = 0.5;
 
 /// Per-lane cost credited to a shrunk-dense lane. The kernel itself is
-/// the scalar dense loop (1.0), but shrinking a layer's rows also
+/// the dense kernel (1.0 in these units), but shrinking a layer's rows also
 /// deletes the matching *columns of its consumer* — a cross-layer saving
 /// the per-layer comparison cannot see. The credit keeps structured
 /// layers on the shrunk path, where that propagation actually happens,
@@ -558,7 +572,7 @@ impl Compiler<'_> {
     /// the BSR occupancy blow-up both lose to CSR's pure-nonzero cost),
     /// short-row mid sparsity → Bitmap (CSR's per-row ramp-up dominates
     /// short rows), high occupancy or block-clustered sparsity → BSR
-    /// (vector-lane blocks run ~2× the scalar dense speed), structured
+    /// (vector-lane blocks ran ~2× the retired scalar dense lane), structured
     /// zero rows → ShrunkDense (the only format whose saving propagates
     /// into the consumer's columns).
     fn choose(&self, w: &Tensor, bias: &[f32], rest: &[LayerSpec]) -> Choice {
@@ -685,7 +699,7 @@ fn build_kernel(
     match choice.format {
         ExecFormat::Dense => {
             let effective = (out_f * in_cols) as u64;
-            (Kernel::Dense(w), bias, None, effective)
+            (Kernel::Dense(PackedRhs::pack(&w)), bias, None, effective)
         }
         ExecFormat::Csr => {
             let sparse = SparseMatrix::from_dense(&w);
@@ -722,7 +736,12 @@ fn build_kernel(
                 full: out_f,
                 dropped: choice.dropped,
             };
-            (Kernel::Dense(small), small_bias, Some(carry), effective)
+            (
+                Kernel::Dense(PackedRhs::pack(&small)),
+                small_bias,
+                Some(carry),
+                effective,
+            )
         }
     }
 }

@@ -14,7 +14,7 @@
 
 use crate::compile::CompiledModel;
 use crate::plan::{FeatureShape, Kernel, Planned, Step};
-use sb_tensor::{Conv2dGeometry, Tensor};
+use sb_tensor::{Conv2dGeometry, PackedRhs, Tensor};
 use std::sync::Mutex;
 
 /// Per-worker scratch: activation ping-pong buffers, a residual stash,
@@ -278,19 +278,7 @@ fn apply_step(
 fn matmul_rows(kernel: &Kernel, bias: &[f32], x: &[f32], in_d: usize, y: &mut [f32]) {
     let out_d = bias.len();
     match kernel {
-        Kernel::Dense(w) => {
-            let wd = w.data();
-            for (xr, yr) in x.chunks_exact(in_d).zip(y.chunks_exact_mut(out_d)) {
-                for (j, o) in yr.iter_mut().enumerate() {
-                    let wr = &wd[j * in_d..(j + 1) * in_d];
-                    let mut acc = 0.0f32;
-                    for (&xv, &wv) in xr.iter().zip(wr) {
-                        acc += xv * wv;
-                    }
-                    *o = acc + bias[j];
-                }
-            }
-        }
+        Kernel::Dense(w) => dense_rows(w, bias, x, y),
         Kernel::Csr(s) => {
             for (xr, yr) in x.chunks_exact(in_d).zip(y.chunks_exact_mut(out_d)) {
                 for (j, o) in yr.iter_mut().enumerate() {
@@ -310,6 +298,24 @@ fn matmul_rows(kernel: &Kernel, bias: &[f32], x: &[f32], in_d: usize, y: &mut [f
         Kernel::Bitmap(m) => {
             debug_assert_eq!(m.cols(), in_d, "bitmap kernel input width");
             m.matmul_rows(x, bias, y);
+        }
+    }
+}
+
+/// The dense kernel: sb-tensor's register tile over the weights packed at
+/// compile time, then the bias, so each output is `acc + bias[j]` with
+/// `acc` the k-ascending dot product — `Model::forward`'s bits.
+///
+/// Kept out of line, so that the tile's call and bias loop stay out of
+/// the function that holds the CSR loop. The sparse kernels' speed still
+/// moves with code placement, not just with their code: see the "dense
+/// lane" notes in DESIGN.md.
+#[inline(never)]
+fn dense_rows(w: &PackedRhs, bias: &[f32], x: &[f32], y: &mut [f32]) {
+    w.matmul_rows(x, y);
+    for yr in y.chunks_exact_mut(bias.len()) {
+        for (o, &b) in yr.iter_mut().zip(bias) {
+            *o += b;
         }
     }
 }

@@ -15,7 +15,9 @@
 //! eval-mode [`sb_nn::LayerSpec`] chain into per-layer kernels, picking a
 //! storage format per weight-bearing layer with a cost model:
 //!
-//! * [`ExecFormat::Dense`] — verbatim copy; the baseline and the fallback.
+//! * [`ExecFormat::Dense`] — the weights packed once into the panels of
+//!   sb-tensor's register tile ([`sb_tensor::PackedRhs`]), the same tile
+//!   that runs every training forward; the baseline and the fallback.
 //! * [`ExecFormat::Csr`] — compressed sparse rows, profitable once
 //!   unstructured pruning pushes density below the CSR break-even point.
 //! * [`ExecFormat::ShrunkDense`] — rows zeroed by *structured* (filter)

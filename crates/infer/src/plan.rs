@@ -7,7 +7,7 @@
 //! steps carry a [`Kernel`] in the storage format the cost model picked;
 //! the public [`LayerPlan`] mirrors that decision for reporting.
 
-use sb_tensor::{Conv2dGeometry, SparseMatrix, Tensor};
+use sb_tensor::{Conv2dGeometry, PackedRhs, SparseMatrix};
 
 /// Per-sample feature shape between two compiled steps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,7 +41,8 @@ impl FeatureShape {
 /// Storage format the cost model picked for a weight-bearing layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecFormat {
-    /// Row-major dense weights, copied verbatim from the model.
+    /// Dense weights, packed once at compile time into the panels of
+    /// sb-tensor's register tile ([`sb_tensor::PackedRhs`]).
     Dense,
     /// Compressed sparse rows ([`SparseMatrix`]); wins when unstructured
     /// pruning leaves few enough nonzeros to beat dense streaming.
@@ -85,13 +86,13 @@ impl ExecFormat {
 
 /// A weight matrix in its chosen storage format.
 ///
-/// Both variants describe the same logical `[out, in_cols]` operator;
+/// Every variant describes the same logical `[out, in_cols]` operator;
 /// `ShrunkDense` layers use a `Dense` kernel that simply has fewer rows
 /// and/or columns than the original layer.
 #[derive(Debug, Clone)]
 pub(crate) enum Kernel {
-    /// Row-major `[out, in_cols]` matrix.
-    Dense(Tensor),
+    /// `[out, in_cols]` matrix packed for the register tile.
+    Dense(PackedRhs),
     /// CSR `[out, in_cols]` matrix.
     Csr(SparseMatrix),
     /// Blocked-sparse `[out, in_cols]` matrix with fixed block width.
@@ -103,7 +104,7 @@ pub(crate) enum Kernel {
 impl Kernel {
     pub(crate) fn out_features(&self) -> usize {
         match self {
-            Kernel::Dense(t) => t.dim(0),
+            Kernel::Dense(w) => w.rows(),
             Kernel::Csr(s) => s.rows(),
             Kernel::Bsr(b) => b.rows(),
             Kernel::Bitmap(m) => m.rows(),
@@ -116,17 +117,19 @@ impl Kernel {
     /// blocks — while bitmap counts exactly its set bits.
     pub(crate) fn macs(&self) -> u64 {
         match self {
-            Kernel::Dense(t) => (t.dim(0) * t.dim(1)) as u64,
+            Kernel::Dense(w) => (w.rows() * w.cols()) as u64,
             Kernel::Csr(s) => s.nnz() as u64,
             Kernel::Bsr(b) => b.stored_lanes() as u64,
             Kernel::Bitmap(m) => m.nnz() as u64,
         }
     }
 
-    /// Bytes needed to store the weight itself (excluding bias).
+    /// Bytes needed to store the weight itself (excluding bias). A dense
+    /// weight counts its `out · in_cols` values, not the zero padding of
+    /// its last panel.
     pub(crate) fn param_bytes(&self) -> usize {
         match self {
-            Kernel::Dense(t) => t.data().len() * 4,
+            Kernel::Dense(w) => w.rows() * w.cols() * 4,
             Kernel::Csr(s) => s.storage_bytes(),
             Kernel::Bsr(b) => b.storage_bytes(),
             Kernel::Bitmap(m) => m.storage_bytes(),

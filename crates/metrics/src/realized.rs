@@ -11,8 +11,14 @@
 //! particular execution engine: callers (the `sb-infer` benches, the
 //! experiment runner) pass "run the candidate once" / "run the dense
 //! baseline once" thunks. Latency is the **median of k runs** after one
-//! untimed warmup — the median is robust to scheduler noise and GC-free,
-//! so repeated measurements are stable enough to assert on in tests.
+//! untimed warmup. The median shrugs off a single slow run, but not a slow
+//! stretch of a shared host: timed back to back, k baseline runs and then
+//! k candidate runs put any drift between the two stretches into the
+//! ratio. [`RealizedProfile::measure`] therefore times k *pairs* and
+//! alternates which thunk of a pair runs first, so drift and position
+//! effects hit both alike. Even so, a ratio is only steady enough to
+//! assert on with many pairs, so the wall-clock floors in
+//! `crates/infer/tests/speed.rs` use k = 101.
 
 use sb_json::json_struct;
 use std::time::Instant;
@@ -26,13 +32,17 @@ use std::time::Instant;
 pub fn median_latency_us<F: FnMut()>(k: usize, f: &mut F) -> f64 {
     assert!(k > 0, "need at least one timed run");
     f(); // warmup: touch caches, fault pages, spin up worker threads
-    let mut times: Vec<f64> = (0..k)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
+    median((0..k).map(|_| time_us(f)).collect())
+}
+
+/// Microseconds one call of `f` takes.
+fn time_us<F: FnMut()>(f: &mut F) -> f64 {
+    let start = Instant::now();
+    f();
+    start.elapsed().as_secs_f64() * 1e6
+}
+
+fn median(mut times: Vec<f64>) -> f64 {
     times.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
     let mid = times.len() / 2;
     if times.len() % 2 == 1 {
@@ -68,8 +78,10 @@ json_struct!(RealizedProfile {
 });
 
 impl RealizedProfile {
-    /// Times `candidate` and `baseline` (median of `k` runs each, one
-    /// warmup apiece) and derives the realized speedup.
+    /// Times `candidate` and `baseline` and derives the realized speedup
+    /// from their median latencies. After one untimed warmup of each, it
+    /// times `k` pairs: pair `i` runs the baseline first when `i` is even
+    /// and the candidate first when it is odd.
     ///
     /// Both thunks should perform the *same logical work* (e.g. one
     /// forward pass over the same batch) for the ratio to mean anything.
@@ -82,10 +94,24 @@ impl RealizedProfile {
         C: FnMut(),
         B: FnMut(),
     {
+        assert!(k > 0, "need at least one timed run");
         let mut candidate = candidate;
         let mut baseline = baseline;
-        let baseline_latency_us = median_latency_us(k, &mut baseline);
-        let latency_us = median_latency_us(k, &mut candidate);
+        baseline();
+        candidate();
+        let mut baseline_us = Vec::with_capacity(k);
+        let mut candidate_us = Vec::with_capacity(k);
+        for i in 0..k {
+            if i % 2 == 0 {
+                baseline_us.push(time_us(&mut baseline));
+                candidate_us.push(time_us(&mut candidate));
+            } else {
+                candidate_us.push(time_us(&mut candidate));
+                baseline_us.push(time_us(&mut baseline));
+            }
+        }
+        let baseline_latency_us = median(baseline_us);
+        let latency_us = median(candidate_us);
         RealizedProfile {
             latency_us,
             baseline_latency_us,
@@ -132,8 +158,12 @@ json_struct!(RealizedSweep {
 });
 
 impl RealizedSweep {
-    /// Times the shared `baseline` once (median of `k` runs), then each
-    /// labeled candidate against it. `candidates` supplies
+    /// Times the shared `baseline` and each labeled candidate (median of
+    /// `k` runs each, after one untimed warmup apiece) in `k` rounds that
+    /// run every thunk once. Round `i` starts at thunk `i` (mod the thunk
+    /// count, the baseline being thunk 0), so drift over the sweep and
+    /// position effects hit every point alike, as in
+    /// [`RealizedProfile::measure`]. `candidates` supplies
     /// `(label, storage_bytes, thunk)` triples.
     ///
     /// # Panics
@@ -144,23 +174,39 @@ impl RealizedSweep {
         B: FnMut(),
         C: FnMut(),
     {
+        assert!(k > 0, "need at least one timed run");
         let mut baseline = baseline;
-        let baseline_latency_us = median_latency_us(k, &mut baseline);
-        let points = candidates
+        let (labels, mut thunks): (Vec<(String, usize)>, Vec<C>) = candidates
             .into_iter()
-            .map(|(label, storage_bytes, mut thunk)| {
-                let latency_us = median_latency_us(k, &mut thunk);
-                RealizedPoint {
-                    label,
-                    profile: RealizedProfile {
-                        latency_us,
-                        baseline_latency_us,
-                        realized_speedup: baseline_latency_us
-                            / latency_us.max(f64::MIN_POSITIVE),
-                        storage_bytes,
-                        samples: k,
-                    },
-                }
+            .map(|(label, storage_bytes, thunk)| ((label, storage_bytes), thunk))
+            .unzip();
+        baseline();
+        thunks.iter_mut().for_each(|t| t());
+        let n = thunks.len() + 1;
+        let mut times = vec![Vec::with_capacity(k); n];
+        for i in 0..k {
+            for slot in (i..i + n).map(|j| j % n) {
+                let us = match slot {
+                    0 => time_us(&mut baseline),
+                    _ => time_us(&mut thunks[slot - 1]),
+                };
+                times[slot].push(us);
+            }
+        }
+        let mut medians = times.into_iter().map(median);
+        let baseline_latency_us = medians.next().expect("baseline timings");
+        let points = labels
+            .into_iter()
+            .zip(medians)
+            .map(|((label, storage_bytes), latency_us)| RealizedPoint {
+                label,
+                profile: RealizedProfile {
+                    latency_us,
+                    baseline_latency_us,
+                    realized_speedup: baseline_latency_us / latency_us.max(f64::MIN_POSITIVE),
+                    storage_bytes,
+                    samples: k,
+                },
             })
             .collect();
         RealizedSweep {
@@ -218,6 +264,37 @@ mod tests {
         let json = sb_json::to_string(&profile).unwrap();
         let back: RealizedProfile = sb_json::from_str(&json).unwrap();
         assert_eq!(back, profile);
+    }
+
+    #[test]
+    fn measure_warms_up_both_then_alternates_pairs() {
+        let calls = std::cell::RefCell::new(String::new());
+        let profile = RealizedProfile::measure(
+            3,
+            0,
+            || calls.borrow_mut().push('c'),
+            || calls.borrow_mut().push('b'),
+        );
+        // The warmups, then pairs 0, 1 and 2.
+        assert_eq!(calls.into_inner(), "bc".to_owned() + "bc" + "cb" + "bc");
+        assert_eq!(profile.samples, 3);
+    }
+
+    #[test]
+    fn sweep_warms_up_every_thunk_then_rotates_rounds() {
+        let calls = std::cell::RefCell::new(String::new());
+        let calls = &calls;
+        let thunk = |c: char| Box::new(move || calls.borrow_mut().push(c)) as Box<dyn FnMut()>;
+        RealizedSweep::measure(
+            3,
+            || calls.borrow_mut().push('b'),
+            vec![
+                ("x".to_string(), 0, thunk('x')),
+                ("y".to_string(), 0, thunk('y')),
+            ],
+        );
+        // The warmups, then rounds 0, 1 and 2.
+        assert_eq!(*calls.borrow(), "bxy".to_owned() + "bxy" + "xyb" + "ybx");
     }
 
     #[test]

@@ -14,12 +14,15 @@
 //! because the experiments built on top (the ShrinkBench reproduction) care
 //! about correctness of gradients and pruning masks, not about GPU-class
 //! throughput. The one kernel shaped for speed is the forward product
-//! [`Tensor::matmul_transposed`], which computes a register tile of outputs
-//! at a time over a packed copy of its right-hand side. It keeps the
-//! reference formula's exact float order: each output starts at `0.0` and
-//! adds its products one at a time in ascending `k`, with no fused
-//! multiply-add, so its results are bit-identical to the plain dot-product
-//! loop.
+//! `a · bᵀ`, which computes a register tile of outputs at a time over a
+//! packed copy of `b`. The tile has two callers:
+//! [`Tensor::matmul_transposed`] (every `Linear` and `Conv2d` forward)
+//! packs `b` on each call, and [`PackedRhs`] lets a caller with fixed
+//! weights (sb-infer's dense kernel) pack them once and run the tile over
+//! any slice of rows. It keeps the reference formula's exact float order:
+//! each output starts at `0.0` and adds its products one at a time in
+//! ascending `k`, with no fused multiply-add, so its results are
+//! bit-identical to the plain dot-product loop.
 //!
 //! # Example
 //!
@@ -48,6 +51,7 @@ mod tensor;
 pub use conv::{col2im, im2col, Conv2dGeometry};
 pub use error::TensorError;
 pub use init::Rng;
+pub use linalg::PackedRhs;
 pub use shape::Shape;
 pub use sparse::SparseMatrix;
 pub use tensor::Tensor;

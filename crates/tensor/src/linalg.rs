@@ -3,14 +3,19 @@
 //! These are the hot kernels for both linear layers and (via im2col)
 //! convolutions, written in safe Rust with no SIMD intrinsics.
 //!
-//! - [`Tensor::matmul_transposed`] is the forward kernel of every `Linear`
-//!   and `Conv2d`, in training and in evaluation. It packs `rhs` once per
-//!   call into [`NR`]-wide column panels ([`NR_NARROW`]-wide when there
-//!   are at most that many outputs per row) and computes [`MR`]-row tiles,
-//!   holding a tile's accumulators in registers while stepping `kk`
-//!   upward. The tile's independent accumulators are what let the compiler
-//!   vectorize it at the default SSE2 target; a one-output-at-a-time dot
-//!   product is a serial chain of adds, bound by add latency.
+//! - The forward products `a · bᵀ` run on one register tile with two
+//!   callers. [`PackedRhs`] holds `b` packed into [`NR`]-wide column
+//!   panels ([`NR_NARROW`]-wide when there are at most that many outputs
+//!   per row), and [`PackedRhs::matmul_rows`] computes [`MR`]-row tiles
+//!   on the calling thread, holding a tile's accumulators in registers
+//!   while stepping `kk` upward. [`Tensor::matmul_transposed`], the
+//!   forward of every `Linear` and `Conv2d` in training and evaluation,
+//!   packs `rhs` on every call and runs the tile over parallel row
+//!   blocks; sb-infer's dense kernel packs its weights once at compile
+//!   time and runs the tile inside its own batch blocks. The tile's
+//!   independent accumulators are what let the compiler vectorize it at
+//!   the default SSE2 target; a one-output-at-a-time dot product is a
+//!   serial chain of adds, bound by add latency.
 //! - [`Tensor::matmul`] and [`Tensor::transposed_matmul`] (the backward
 //!   kernels) use an `ikj`-style order whose innermost loop walks a row of
 //!   outputs, so they vectorize across outputs as written. They skip the
@@ -21,25 +26,27 @@
 //! products `a·b` one at a time in ascending `kk`, as separate multiplies
 //! and adds (never a fused multiply-add). The tile only changes which
 //! outputs are in flight together, never the operations that produce one
-//! of them, so `matmul_transposed` is bit-identical to the plain
-//! dot-product loop. `crates/tensor/tests/properties.rs` checks that bit
-//! for bit, and `crates/nn/tests/training_digest.rs` pins the bits of a
-//! few training steps.
+//! of them, so the tile is bit-identical to the plain dot-product loop,
+//! however its rows are split between calls.
+//! `crates/tensor/tests/properties.rs` checks that bit for bit, and
+//! `crates/nn/tests/training_digest.rs` pins the bits of a few training
+//! steps.
 //!
-//! The kernels parallelize over **disjoint blocks of output rows** via
-//! `sb_runtime::for_each_chunk_mut`, with block sizes that depend only on
-//! the shape. Each output element is accumulated by exactly one task, so
-//! results are bit-identical for any `SB_RUNTIME_THREADS`, including 1
-//! (which runs the same blocks inline).
+//! The `Tensor` kernels parallelize over **disjoint blocks of output
+//! rows** via `sb_runtime::for_each_chunk_mut`, with block sizes that
+//! depend only on the shape. Each output element is accumulated by
+//! exactly one task, so results are bit-identical for any
+//! `SB_RUNTIME_THREADS`, including 1 (which runs the same blocks inline).
+//! [`PackedRhs::matmul_rows`] never fans out: its caller owns the
+//! parallelism.
 
 use crate::tensor::Tensor;
 
-/// Output rows per register tile of [`Tensor::matmul_transposed`].
+/// Output rows per register tile.
 const MR: usize = 4;
 
-/// Output columns per packed panel of [`Tensor::matmul_transposed`]'s
-/// right-hand side: two SSE2 vectors of `f32`, so an `MR × NR` tile is 8
-/// vector accumulators.
+/// Output columns per packed panel of a [`PackedRhs`]: two SSE2 vectors
+/// of `f32`, so an `MR × NR` tile is 8 vector accumulators.
 const NR: usize = 8;
 
 /// The panel width for products with at most 4 outputs per row (the
@@ -60,7 +67,8 @@ fn rows_per_task(work_per_row: usize, m: usize) -> usize {
 /// row `n` of `b`, so one `kk` step of a tile reads `W` adjacent values.
 fn pack_panels<const W: usize>(b: &[f32], n: usize, k: usize) -> Vec<f32> {
     let mut panels = vec![0.0f32; n.div_ceil(W) * k * W];
-    for (j, b_row) in b.chunks_exact(k).enumerate() {
+    // `b` is empty when `k` is 0, and so are the panels.
+    for (j, b_row) in b.chunks_exact(k.max(1)).enumerate() {
         let panel = &mut panels[(j / W) * k * W..][..k * W];
         for (slot, &v) in panel.iter_mut().skip(j % W).step_by(W).zip(b_row) {
             *slot = v;
@@ -69,31 +77,97 @@ fn pack_panels<const W: usize>(b: &[f32], n: usize, k: usize) -> Vec<f32> {
     panels
 }
 
-/// `out = a · bᵀ` for `a: [m, k]` and `b: [n, k]` (`k > 0`, `out`
-/// non-empty) over `W`-wide panels of `b`, in parallel blocks of
-/// `rows_per` output rows. `rows_per` is a multiple of [`MR`], so only the
-/// matrix's last tile can have fewer rows; its rows run one at a time.
-fn tiled_product<const W: usize>(
-    a: &[f32],
-    b: &[f32],
-    k: usize,
+/// A right-hand side `b: [n, k]` packed once into the register tile's
+/// column panels, for any number of products `a · bᵀ` with the same `b`.
+///
+/// [`Tensor::matmul_transposed`] packs its `rhs` on every call; a caller
+/// that multiplies by the same matrix many times (sb-infer's dense
+/// kernel, whose weights are fixed at compile time) packs it once and
+/// calls [`PackedRhs::matmul_rows`] directly. Both callers run the same
+/// tile, so both produce the ascending-dot bits described in the module
+/// docs.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PackedRhs {
     n: usize,
-    rows_per: usize,
-    out: &mut [f32],
-) {
-    let panels = pack_panels::<W>(b, n, k);
-    sb_runtime::for_each_chunk_mut(out, rows_per * n, |ci, block| {
-        let a_block = &a[ci * rows_per * k..];
-        for (out_tile, a_tile) in block.chunks_mut(MR * n).zip(a_block.chunks(MR * k)) {
-            if out_tile.len() == MR * n {
-                row_tile::<MR, W>(a_tile, k, &panels, out_tile);
-            } else {
-                for (out_row, a_row) in out_tile.chunks_mut(n).zip(a_tile.chunks(k)) {
-                    row_tile::<1, W>(a_row, k, &panels, out_row);
-                }
+    k: usize,
+    /// [`NR_NARROW`]-wide panels when `n ≤ NR_NARROW`, else [`NR`]-wide.
+    panels: Vec<f32>,
+}
+
+impl PackedRhs {
+    /// Packs the 2-D tensor `b: [n, k]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` is not 2-D.
+    pub fn pack(b: &Tensor) -> PackedRhs {
+        assert_eq!(b.shape().ndim(), 2, "packed rhs must be 2-D");
+        let (n, k) = (b.dim(0), b.dim(1));
+        let panels = if n <= NR_NARROW {
+            pack_panels::<NR_NARROW>(b.data(), n, k)
+        } else {
+            pack_panels::<NR>(b.data(), n, k)
+        };
+        PackedRhs { n, k, panels }
+    }
+
+    /// `n`: the rows of the packed matrix, so the outputs per row of a
+    /// product.
+    pub fn rows(&self) -> usize {
+        self.n
+    }
+
+    /// `k`: the columns of the packed matrix, so the length of each row
+    /// of `a`.
+    pub fn cols(&self) -> usize {
+        self.k
+    }
+
+    /// `out = a · bᵀ` for the row-major rows of `a` (`m × k` values) into
+    /// `out` (`m × n`), on the calling thread: [`MR`]-row tiles, then the
+    /// last one to three rows one at a time. Each output starts at `0.0`
+    /// and adds `a[i][kk] · b[j][kk]` in ascending `kk`, so splitting `a`'s
+    /// rows between calls never changes a bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` and `out` do not hold the same number of rows.
+    pub fn matmul_rows(&self, a: &[f32], out: &mut [f32]) {
+        let (n, k) = (self.n, self.k);
+        // `a` has no values to count rows by when `k` is 0.
+        let m = a.len().checked_div(k).unwrap_or(out.len() / n.max(1));
+        assert!(
+            a.len() == m * k && out.len() == m * n,
+            "matmul_rows slice lengths disagree: {} lhs values and {} outputs \
+             for a [{n}, {k}] rhs",
+            a.len(),
+            out.len()
+        );
+        if out.is_empty() {
+            return;
+        }
+        if k == 0 {
+            out.fill(0.0);
+        } else if n <= NR_NARROW {
+            tile_rows::<NR_NARROW>(a, k, n, &self.panels, out);
+        } else {
+            tile_rows::<NR>(a, k, n, &self.panels, out);
+        }
+    }
+}
+
+/// `out = a · bᵀ` over `W`-wide `panels` (`k > 0`, `out` non-empty):
+/// whole [`MR`]-row tiles, then the remaining rows one at a time.
+fn tile_rows<const W: usize>(a: &[f32], k: usize, n: usize, panels: &[f32], out: &mut [f32]) {
+    for (out_tile, a_tile) in out.chunks_mut(MR * n).zip(a.chunks(MR * k)) {
+        if out_tile.len() == MR * n {
+            row_tile::<MR, W>(a_tile, k, panels, out_tile);
+        } else {
+            for (out_row, a_row) in out_tile.chunks_mut(n).zip(a_tile.chunks(k)) {
+                row_tile::<1, W>(a_row, k, panels, out_row);
             }
         }
-    });
+    }
 }
 
 /// Computes `R` output rows of `a · bᵀ` (`a_tile` is `R × k`, `out_tile`
@@ -199,16 +273,16 @@ impl Tensor {
         if out.is_empty() || k == 0 {
             return Tensor::from_vec(out, &[m, n]).expect("shape computed above");
         }
+        let packed = PackedRhs::pack(rhs);
         // Blocks of whole tiles: a wide product (LeNet-300's fc1 is 76.8k
         // mul-adds per row) would otherwise get one-row blocks, which
         // leave a tile one row tall.
         let rows_per = rows_per_task(k * n, m).next_multiple_of(MR);
-        let (a, b) = (self.data(), rhs.data());
-        if n <= NR_NARROW {
-            tiled_product::<NR_NARROW>(a, b, k, n, rows_per, &mut out);
-        } else {
-            tiled_product::<NR>(a, b, k, n, rows_per, &mut out);
-        }
+        let a = self.data();
+        sb_runtime::for_each_chunk_mut(&mut out, rows_per * n, |ci, block| {
+            let a_block = &a[ci * rows_per * k..][..block.len() / n * k];
+            packed.matmul_rows(a_block, block);
+        });
         Tensor::from_vec(out, &[m, n]).expect("shape computed above")
     }
 
@@ -333,6 +407,14 @@ mod tests {
         let a = Tensor::zeros(&[2, 3]);
         let b = Tensor::zeros(&[2, 3]);
         let _ = a.matmul(&b);
+    }
+
+    #[test]
+    #[should_panic(expected = "slice lengths disagree")]
+    fn packed_matmul_rows_rejects_mismatched_slices() {
+        // Two rows of `a` for a `[3, 4]` rhs need 6 outputs, not 5.
+        let packed = PackedRhs::pack(&Tensor::zeros(&[3, 4]));
+        packed.matmul_rows(&[0.0; 8], &mut [0.0; 5]);
     }
 
     #[test]

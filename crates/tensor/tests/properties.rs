@@ -3,7 +3,7 @@
 //! that replays the exact case.
 
 use sb_check::{check, prop_assert, prop_assert_eq, Config, Rng};
-use sb_tensor::{col2im, im2col, Conv2dGeometry, Tensor};
+use sb_tensor::{col2im, im2col, Conv2dGeometry, PackedRhs, Tensor};
 
 /// Pinned suite seed: every property below derives its per-case seeds
 /// from this value, so failures reproduce across machines.
@@ -377,25 +377,50 @@ fn matmul_transposed_is_bitwise_the_ascending_dot() {
             let got = ta.matmul_transposed(&tb);
             prop_assert_eq!(got.dims(), &[m, n]);
             let want = ascending_dot_reference(&a, &b, m, k, n);
-            for (idx, (&g, &w)) in got.data().iter().zip(&want).enumerate() {
-                // IEEE leaves a NaN's sign unspecified, and the compiler
-                // may commute an add; only the NaN's position is pinned.
-                if w.is_nan() {
-                    prop_assert!(g.is_nan(), "[{}, {}]: {} where NaN", idx / n, idx % n, g);
-                } else {
-                    prop_assert!(
-                        g.to_bits() == w.to_bits(),
-                        "[{}, {}]: {:e} ({:#010x}) vs reference {:e} ({:#010x})",
-                        idx / n,
-                        idx % n,
-                        g,
-                        g.to_bits(),
-                        w,
-                        w.to_bits()
-                    );
-                }
-            }
-            Ok(())
+            assert_bitwise(got.data(), &want, n, "matmul_transposed")?;
+            // The slice entry point over `b` packed once, on a random
+            // two-way split of `a`'s rows. The outputs start at `f32::MAX`,
+            // which no reference here can equal (|values| ≤ 4, k < 1100),
+            // so an output the entry never writes fails.
+            let packed = PackedRhs::pack(&tb);
+            let split = rng.below(m + 1);
+            let mut rows = vec![f32::MAX; m * n];
+            let (top, bottom) = rows.split_at_mut(split * n);
+            packed.matmul_rows(&a[..split * k], top);
+            packed.matmul_rows(&a[split * k..], bottom);
+            assert_bitwise(&rows, &want, n, "PackedRhs::matmul_rows")
         },
     );
+}
+
+/// `got` equals `want` bit for bit, except that a NaN only has to be a
+/// NaN: IEEE leaves a NaN's sign unspecified, and the compiler may
+/// commute an add, so only the NaN's position is pinned.
+fn assert_bitwise(got: &[f32], want: &[f32], n: usize, kernel: &str) -> Result<(), String> {
+    prop_assert_eq!(got.len(), want.len());
+    for (idx, (&g, &w)) in got.iter().zip(want).enumerate() {
+        if w.is_nan() {
+            prop_assert!(
+                g.is_nan(),
+                "{} [{}, {}]: {} where NaN",
+                kernel,
+                idx / n,
+                idx % n,
+                g
+            );
+        } else {
+            prop_assert!(
+                g.to_bits() == w.to_bits(),
+                "{} [{}, {}]: {:e} ({:#010x}) vs reference {:e} ({:#010x})",
+                kernel,
+                idx / n,
+                idx % n,
+                g,
+                g.to_bits(),
+                w,
+                w.to_bits()
+            );
+        }
+    }
+    Ok(())
 }
