@@ -20,7 +20,7 @@ use sb_runtime::{JobQueue, JobSpec};
 use sb_tensor::Rng;
 use sb_json::{json_enum, json_struct, FromJson, Json, JsonError, ToJson};
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -524,8 +524,15 @@ impl ExperimentRunner {
     ///
     /// With a cache directory set, every finished cell is persisted as
     /// `{id}.cells/cell-s{si}-c{ci}-r{wi}.json` tagged with the config's
-    /// fingerprint; an interrupted grid rerun loads those cells instead of
-    /// retraining them.
+    /// fingerprint, and the finished grid as `{id}.json`. A rerun reads
+    /// every cell file before it trains anything: a cell whose file
+    /// parses and carries the config's fingerprint is resumed, any other
+    /// is recomputed. When every cell is resumed, the grid neither builds
+    /// its dataset nor pretrains; otherwise it pretrains once and computes
+    /// only the missing cells. Cache files are written to a temp file and
+    /// renamed into place, so a crash never leaves a truncated one; a
+    /// failed write is counted (`cache_write_failures`) and warned about,
+    /// and the run still returns its records.
     pub fn run_with_summary(&self, config: &ExperimentConfig) -> GridRunSummary {
         let summary = {
             let _grid = sb_trace::span_with(|| format!("grid:{}", config.id));
@@ -536,13 +543,12 @@ impl ExperimentRunner {
         if sb_trace::enabled() {
             if let Some(dir) = &self.cache_dir {
                 let trace = sb_trace::report().subtree(&format!("grid:{}", config.id));
-                let _ = fs::create_dir_all(dir);
                 if let Ok(json) = sb_json::to_string_pretty(&trace) {
-                    let _ = fs::write(dir.join(format!("{}.trace.json", config.id)), json);
+                    write_cache_file(&dir.join(format!("{}.trace.json", config.id)), &json);
                 }
-                let _ = fs::write(
-                    dir.join(format!("{}.flame.txt", config.id)),
-                    trace.flamegraph(),
+                write_cache_file(
+                    &dir.join(format!("{}.flame.txt", config.id)),
+                    &trace.flamegraph(),
                 );
             }
         }
@@ -566,6 +572,71 @@ impl ExperimentRunner {
             }
         }
 
+        // Probe every cell file, in grid order, before any training. This
+        // is the only place a cell file is read.
+        let t0 = Instant::now();
+        let fingerprint = config_fingerprint(config);
+        let cell_dir = self
+            .cache_dir
+            .as_ref()
+            .map(|d| d.join(format!("{}.cells", config.id)));
+        let cells = grid_cells(config);
+        let cached: Vec<Option<RunRecord>> = cells
+            .iter()
+            .map(|cell| {
+                let bytes =
+                    fs::read(cell_dir.as_ref()?.join(format!("{}.json", cell.name))).ok()?;
+                let file = sb_json::from_slice::<CellCacheFile>(&bytes).ok()?;
+                (file.fingerprint == fingerprint).then_some(file.record)
+            })
+            .collect();
+        let resumed = cached.iter().flatten().count();
+        let computed = cached.len() - resumed;
+        sb_trace::count(sb_trace::CounterId::CacheHits, resumed as u64);
+
+        // Every record carries its pretrain metrics, so a fully cached grid
+        // needs neither the dataset nor the pretrained model.
+        let records = if computed == 0 {
+            cached.into_iter().flatten().collect()
+        } else {
+            self.compute_missing(config, cells, cached, fingerprint, cell_dir)
+        };
+        sb_trace::count(sb_trace::CounterId::CellsResumed, resumed as u64);
+        sb_trace::count(sb_trace::CounterId::CellsComputed, computed as u64);
+        if self.verbose {
+            eprintln!(
+                "[{}] grid complete: {computed} computed, {resumed} resumed ({:?})",
+                config.id,
+                t0.elapsed()
+            );
+        }
+
+        if let Some(path) = self.cache_path(&config.id) {
+            let cache = CacheFile {
+                config: config.clone(),
+                records: records.clone(),
+            };
+            if let Ok(json) = sb_json::to_string_pretty(&cache) {
+                write_cache_file(&path, &json);
+            }
+        }
+        GridRunSummary {
+            records,
+            resumed,
+            computed,
+        }
+    }
+
+    /// Pretrains once and computes every cell that `cached` lacks on a
+    /// [`JobQueue`], returning all records in grid order.
+    fn compute_missing(
+        &self,
+        config: &ExperimentConfig,
+        cells: Vec<GridCell>,
+        cached: Vec<Option<RunRecord>>,
+        fingerprint: String,
+        cell_dir: Option<PathBuf>,
+    ) -> Vec<RunRecord> {
         let data = Arc::new(SyntheticVision::new(
             config.dataset.spec(config.data_scale, config.data_seed),
         ));
@@ -591,13 +662,7 @@ impl ExperimentRunner {
         let mut finetune = config.finetune.clone();
         finetune.flatten_input = config.model.flatten_input();
 
-        let fingerprint = config_fingerprint(config);
-        let cell_dir = self.cache_dir.as_ref().map(|d| d.join(format!("{}.cells", config.id)));
-        if let Some(dir) = &cell_dir {
-            let _ = fs::create_dir_all(dir);
-        }
-
-        // Submit every cell in grid order; cached cells short-circuit to
+        // Submit every missing cell in grid order; cached cells stay
         // `Done`. Joining the handles in the same order reassembles the
         // exact sequential record vector.
         enum Slot {
@@ -605,86 +670,102 @@ impl ExperimentRunner {
             Pending(sb_runtime::JobHandle<RunRecord>),
         }
         let queue = JobQueue::new();
-        let mut slots = Vec::new();
-        let mut resumed = 0usize;
-        for (si, kind) in config.strategies.iter().enumerate() {
-            for (ci, &compression) in config.compressions.iter().enumerate() {
-                for (wi, &seed) in config.seeds.iter().enumerate() {
-                    let cell_path = cell_dir
-                        .as_ref()
-                        .map(|d| d.join(format!("cell-s{si}-c{ci}-r{wi}.json")));
-                    if let Some(path) = &cell_path {
-                        if let Ok(bytes) = fs::read(path) {
-                            if let Ok(cell) = sb_json::from_slice::<CellCacheFile>(&bytes) {
-                                if cell.fingerprint == fingerprint {
-                                    resumed += 1;
-                                    sb_trace::count(sb_trace::CounterId::CacheHits, 1);
-                                    slots.push(Slot::Done(cell.record));
-                                    continue;
-                                }
-                            }
-                        }
-                    }
-                    let job = CellJob {
-                        id: config.id.clone(),
-                        model: config.model.clone(),
-                        strategy: kind.clone(),
-                        compression,
-                        seed,
-                        weights_seed: config.pretrain.weights_seed,
-                        finetune: finetune.clone(),
-                        data: Arc::clone(&data),
-                        snapshot: Arc::clone(&snapshot),
-                        init_snapshot: Arc::clone(&init_snapshot),
-                        pre_metrics,
-                        fingerprint: fingerprint.clone(),
-                        cell_path,
-                        verbose: self.verbose,
-                        measure_latency: self.measure_latency,
-                    };
-                    let spec = JobSpec::new()
-                        .label(format!("{}:cell-s{si}-c{ci}-r{wi}", config.id));
-                    slots.push(Slot::Pending(queue.submit(spec, move |_ctx| job.run())));
+        let slots: Vec<Slot> = cells
+            .into_iter()
+            .zip(cached)
+            .map(|(cell, hit)| {
+                if let Some(record) = hit {
+                    return Slot::Done(record);
                 }
-            }
-        }
+                let job = CellJob {
+                    id: config.id.clone(),
+                    model: config.model.clone(),
+                    strategy: cell.strategy,
+                    compression: cell.compression,
+                    seed: cell.seed,
+                    weights_seed: config.pretrain.weights_seed,
+                    finetune: finetune.clone(),
+                    data: Arc::clone(&data),
+                    snapshot: Arc::clone(&snapshot),
+                    init_snapshot: Arc::clone(&init_snapshot),
+                    pre_metrics,
+                    fingerprint: fingerprint.clone(),
+                    cell_path: cell_dir
+                        .as_ref()
+                        .map(|d| d.join(format!("{}.json", cell.name))),
+                    verbose: self.verbose,
+                    measure_latency: self.measure_latency,
+                };
+                let spec = JobSpec::new().label(format!("{}:{}", config.id, cell.name));
+                Slot::Pending(queue.submit(spec, move |_ctx| job.run()))
+            })
+            .collect();
+        slots
+            .into_iter()
+            .map(|slot| match slot {
+                Slot::Done(record) => record,
+                Slot::Pending(handle) => handle
+                    .join()
+                    .unwrap_or_else(|e| panic!("pruning failed in {}: {e}", config.id)),
+            })
+            .collect()
+    }
+}
 
-        let total = slots.len();
-        let mut records = Vec::with_capacity(total);
-        for slot in slots {
-            match slot {
-                Slot::Done(record) => records.push(record),
-                Slot::Pending(handle) => records.push(
-                    handle
-                        .join()
-                        .unwrap_or_else(|e| panic!("pruning failed in {}: {e}", config.id)),
-                ),
-            }
-        }
-        let computed = total - resumed;
-        sb_trace::count(sb_trace::CounterId::CellsResumed, resumed as u64);
-        sb_trace::count(sb_trace::CounterId::CellsComputed, computed as u64);
-        if self.verbose {
-            eprintln!(
-                "[{}] grid complete: {computed} computed, {resumed} resumed ({:?})",
-                config.id,
-                t0.elapsed()
-            );
-        }
+/// One (strategy, compression, seed) cell of a grid, with the name its
+/// cache file and job label use.
+struct GridCell {
+    name: String,
+    strategy: StrategyKind,
+    compression: f64,
+    seed: u64,
+}
 
-        if let Some(path) = self.cache_path(&config.id) {
-            if let Some(parent) = path.parent() {
-                let _ = fs::create_dir_all(parent);
-            }
-            let cache = CacheFile {
-                config: config.clone(),
-                records: records.clone(),
-            };
-            if let Ok(json) = sb_json::to_string_pretty(&cache) {
-                let _ = fs::write(&path, json);
+/// Every cell of the grid, in grid order (strategy × compression × seed).
+fn grid_cells(config: &ExperimentConfig) -> Vec<GridCell> {
+    let mut cells = Vec::new();
+    for (si, &strategy) in config.strategies.iter().enumerate() {
+        for (ci, &compression) in config.compressions.iter().enumerate() {
+            for (wi, &seed) in config.seeds.iter().enumerate() {
+                cells.push(GridCell {
+                    name: format!("cell-s{si}-c{ci}-r{wi}"),
+                    strategy,
+                    compression,
+                    seed,
+                });
             }
         }
-        GridRunSummary { records, resumed, computed }
+    }
+    cells
+}
+
+/// Writes one cache file through a temp file in the same directory
+/// (`{name}.tmp`), renamed into place, creating the directory first. A
+/// crash can leave a stale temp file, which no reader looks for and the
+/// next write of the same path replaces, but never a truncated or empty
+/// cache file. There is no fsync: a file lost with the machine is
+/// recomputed like any other miss.
+///
+/// The cache only saves work, so a failed write does not fail the run: it
+/// counts [`sb_trace::CounterId::CacheWriteFailures`] and prints a warning
+/// naming the path to stderr. A run writes each path once, so a run warns
+/// once per path.
+fn write_cache_file(path: &Path, contents: &str) {
+    let write = || -> std::io::Result<()> {
+        if let Some(dir) = path.parent() {
+            fs::create_dir_all(dir)?;
+        }
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        fs::write(&tmp, contents)?;
+        fs::rename(&tmp, path)
+    };
+    if let Err(e) = write() {
+        sb_trace::count(sb_trace::CounterId::CacheWriteFailures, 1);
+        eprintln!(
+            "warning: could not write cache file {}: {e}",
+            path.display()
+        );
     }
 }
 
@@ -769,7 +850,7 @@ impl CellJob {
                 record: record.clone(),
             };
             if let Ok(json) = sb_json::to_string_pretty(&cell) {
-                let _ = fs::write(path, json);
+                write_cache_file(path, &json);
             }
         }
         Ok(record)

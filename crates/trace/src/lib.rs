@@ -55,6 +55,9 @@ pub enum CounterId {
     Flops,
     /// Cache lookups that hit (whole-grid or per-cell).
     CacheHits,
+    /// Cache files (grid, cell or trace artifact) that could not be
+    /// written; the run goes on without them.
+    CacheWriteFailures,
     /// Experiment cells restored from the on-disk cell cache.
     CellsResumed,
     /// Experiment cells computed fresh.
@@ -80,7 +83,7 @@ pub enum CounterId {
     BatchOccupancy,
 }
 
-const N_COUNTERS: usize = 13;
+const N_COUNTERS: usize = 14;
 
 impl CounterId {
     /// Every counter, in report order.
@@ -88,6 +91,7 @@ impl CounterId {
         CounterId::BytesMoved,
         CounterId::Flops,
         CounterId::CacheHits,
+        CounterId::CacheWriteFailures,
         CounterId::CellsResumed,
         CounterId::CellsComputed,
         CounterId::EpochsTrained,
@@ -106,6 +110,7 @@ impl CounterId {
             CounterId::BytesMoved => "bytes_moved",
             CounterId::Flops => "flops",
             CounterId::CacheHits => "cache_hits",
+            CounterId::CacheWriteFailures => "cache_write_failures",
             CounterId::CellsResumed => "cells_resumed",
             CounterId::CellsComputed => "cells_computed",
             CounterId::EpochsTrained => "epochs_trained",

@@ -89,3 +89,18 @@ done
 test -s "$trace_tmp/traced/mnist-saturation-quick.trace.json"
 test -s "$trace_tmp/traced/mnist-saturation-quick.flame.txt"
 echo "trace determinism: results identical traced vs untraced, artifacts emitted"
+
+# Resume end to end: with only the `.cells/` directories left, a rerun
+# must rebuild each grid JSON byte for byte. Every cell is cached, so the
+# rerun reads the cell files and trains nothing.
+mkdir "$trace_tmp/saved"
+for f in "$trace_tmp/plain"/*.json; do
+    cp "$f" "$trace_tmp/saved/"
+    rm "$f"
+done
+./target/release/expfig mnist-saturation --scale quick \
+    --results "$trace_tmp/plain" --figures "$trace_tmp/figs-plain" >/dev/null
+for f in "$trace_tmp/saved"/*.json; do
+    cmp "$f" "$trace_tmp/plain/$(basename "$f")"
+done
+echo "resume: grid files rebuilt byte-identically from their cell files"
