@@ -113,11 +113,11 @@ fn main() {
         "all" => {
             for (id, _) in ARTIFACTS {
                 eprintln!("==> {id}");
-                render(id, scale, &paths);
+                println!("{}", render_or_exit(id, scale, &paths));
             }
         }
         id if ARTIFACTS.iter().any(|(a, _)| a == &id) => {
-            print!("{}", render_to_string(id, scale, &paths));
+            print!("{}", render_or_exit(id, scale, &paths));
         }
         _ => {
             eprintln!("unknown artifact {target:?}");
@@ -126,12 +126,16 @@ fn main() {
     }
 }
 
-fn render(id: &str, scale: Scale, paths: &OutputPaths) {
-    let text = render_to_string(id, scale, paths);
-    println!("{text}");
+/// Renders one artifact; a failed figure write exits 1 with the error,
+/// which names the path.
+fn render_or_exit(id: &str, scale: Scale, paths: &OutputPaths) -> String {
+    render(id, scale, paths).unwrap_or_else(|e| {
+        eprintln!("expfig {id}: cannot write figure: {e}");
+        std::process::exit(1);
+    })
 }
 
-fn render_to_string(id: &str, scale: Scale, paths: &OutputPaths) -> String {
+fn render(id: &str, scale: Scale, paths: &OutputPaths) -> std::io::Result<String> {
     match id {
         "table1" => table1(paths),
         "fig1" => fig1(paths),

@@ -1,5 +1,9 @@
 //! Rendering of every table and figure: text charts to stdout, CSV data
 //! next to them.
+//!
+//! Every artifact function writes its `.txt` (and `.csv`) under
+//! [`OutputPaths::figures`] and returns the rendered text, or the first
+//! write error, which names the path it failed on.
 
 use crate::configs::{experiment_config, Scale};
 use sb_corpus::data::build_corpus;
@@ -7,7 +11,8 @@ use sb_corpus::{fragmentation, graph, tradeoff};
 use sb_report::{AsciiChart, ChartSeries, Table};
 use shrinkbench::experiment::{summarize, ExperimentRunner, RunRecord};
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 
 /// Where experiment results are cached and figure CSVs written.
 #[derive(Debug, Clone)]
@@ -27,12 +32,19 @@ impl Default for OutputPaths {
     }
 }
 
-fn save(paths: &OutputPaths, name: &str, text: &str, csv: Option<&Table>) {
-    let _ = std::fs::create_dir_all(&paths.figures);
-    let _ = std::fs::write(paths.figures.join(format!("{name}.txt")), text);
+/// Writes `{name}.txt` and, with a table, `{name}.csv` under
+/// `paths.figures`. An error names the path it failed on.
+fn save(paths: &OutputPaths, name: &str, text: &str, csv: Option<&Table>) -> io::Result<()> {
+    let named =
+        |path: &Path, e: io::Error| io::Error::new(e.kind(), format!("{}: {e}", path.display()));
+    std::fs::create_dir_all(&paths.figures).map_err(|e| named(&paths.figures, e))?;
+    let txt = paths.figures.join(format!("{name}.txt"));
+    std::fs::write(&txt, text).map_err(|e| named(&txt, e))?;
     if let Some(table) = csv {
-        let _ = sb_report::write_csv(table, &paths.figures.join(format!("{name}.csv")));
+        let path = paths.figures.join(format!("{name}.csv"));
+        sb_report::write_csv(table, &path).map_err(|e| named(&path, e))?;
     }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -40,7 +52,7 @@ fn save(paths: &OutputPaths, name: &str, text: &str, csv: Option<&Table>) {
 // ---------------------------------------------------------------------
 
 /// Table 1: all (dataset, architecture) pairs used by ≥ 4 papers.
-pub fn table1(paths: &OutputPaths) -> String {
+pub fn table1(paths: &OutputPaths) -> io::Result<String> {
     let corpus = build_corpus();
     let rows = fragmentation::pair_counts(&corpus, 4);
     let mut table = Table::new(vec!["Dataset", "Architecture", "Number of Papers Using Pair"]);
@@ -59,13 +71,13 @@ pub fn table1(paths: &OutputPaths) -> String {
         corpus.architectures().len(),
         corpus.combinations().len()
     );
-    save(paths, "table1", &out, Some(&table));
-    out
+    save(paths, "table1", &out, Some(&table))?;
+    Ok(out)
 }
 
 /// Figure 1: size and speed vs accuracy for dense families and pruned
 /// models.
-pub fn fig1(paths: &OutputPaths) -> String {
+pub fn fig1(paths: &OutputPaths) -> io::Result<String> {
     let corpus = build_corpus();
     let panels = tradeoff::figure1(&corpus);
     let mut out = String::from(
@@ -98,12 +110,12 @@ pub fn fig1(paths: &OutputPaths) -> String {
     out.push_str(
         "Reading: pruned models sometimes beat their original architecture, but rarely beat a better architecture (EfficientNet dominates).\n",
     );
-    save(paths, "fig1", &out, Some(&table));
-    out
+    save(paths, "fig1", &out, Some(&table))?;
+    Ok(out)
 }
 
 /// Figure 2: histograms of comparisons between papers.
-pub fn fig2(paths: &OutputPaths) -> String {
+pub fn fig2(paths: &OutputPaths) -> io::Result<String> {
     let corpus = build_corpus();
     let h = graph::comparison_histograms(&corpus);
     let mut out = String::from("Figure 2: Reported comparisons between papers.\n\n");
@@ -151,13 +163,13 @@ pub fn fig2(paths: &OutputPaths) -> String {
     ));
     let orphans = graph::never_compared_to(&corpus);
     let _ = writeln!(out, "\npapers never compared to by any later study: {}", orphans.len());
-    save(paths, "fig2", &out, Some(&table));
-    out
+    save(paths, "fig2", &out, Some(&table))?;
+    Ok(out)
 }
 
 /// Figure 3: fragmentation of self-reported results on the four most
 /// common configurations.
-pub fn fig3(paths: &OutputPaths) -> String {
+pub fn fig3(paths: &OutputPaths) -> io::Result<String> {
     let corpus = build_corpus();
     let grid = fragmentation::figure3_grid(&corpus);
     let mut out = String::from(
@@ -204,13 +216,13 @@ pub fn fig3(paths: &OutputPaths) -> String {
         "{} of the 81 papers report any results using these configurations.",
         papers.len()
     );
-    save(paths, "fig3", &out, Some(&table));
-    out
+    save(paths, "fig3", &out, Some(&table))?;
+    Ok(out)
 }
 
 /// Figure 4: number of (dataset, architecture) pairs per paper and points
 /// per tradeoff curve.
-pub fn fig4(paths: &OutputPaths) -> String {
+pub fn fig4(paths: &OutputPaths) -> io::Result<String> {
     let corpus = build_corpus();
     let mut out = String::from("Figure 4: Number of results reported by each paper, excluding MNIST.\n\n");
     let mut table = Table::new(vec!["histogram", "count", "peer_reviewed", "other"]);
@@ -246,13 +258,13 @@ pub fn fig4(paths: &OutputPaths) -> String {
         }
         out.push('\n');
     }
-    save(paths, "fig4", &out, Some(&table));
-    out
+    save(paths, "fig4", &out, Some(&table))?;
+    Ok(out)
 }
 
 /// Figure 5: magnitude-variant vs all-other-method variation on
 /// ResNet-50 / ImageNet.
-pub fn fig5(paths: &OutputPaths) -> String {
+pub fn fig5(paths: &OutputPaths) -> io::Result<String> {
     let corpus = build_corpus();
     let f5 = tradeoff::figure5(&corpus);
     let mut out = String::from(
@@ -284,8 +296,8 @@ pub fn fig5(paths: &OutputPaths) -> String {
         tradeoff::vertical_spread(&f5.magnitude_methods),
         tradeoff::vertical_spread(&f5.other_methods)
     );
-    save(paths, "fig5", &out, Some(&table));
-    out
+    save(paths, "fig5", &out, Some(&table))?;
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------
@@ -371,7 +383,7 @@ pub fn experiment_figure(
     panels: &[(&str, &str, &str)], // (experiment id, axis, panel title)
     scale: Scale,
     paths: &OutputPaths,
-) -> String {
+) -> io::Result<String> {
     let mut out = format!("{caption}\n\n");
     let mut combined: Option<Table> = None;
     for (experiment_id, axis, title) in panels {
@@ -381,13 +393,13 @@ pub fn experiment_figure(
         out.push('\n');
         combined.get_or_insert(table);
     }
-    save(paths, name, &out, combined.as_ref());
-    out
+    save(paths, name, &out, combined.as_ref())?;
+    Ok(out)
 }
 
 /// Figure 8 needs both pretrained models on shared axes, in absolute and
 /// Δ-accuracy form.
-pub fn fig8(scale: Scale, paths: &OutputPaths) -> String {
+pub fn fig8(scale: Scale, paths: &OutputPaths) -> io::Result<String> {
     let a = run_experiment("weights-a", scale, paths);
     let b = run_experiment("weights-b", scale, paths);
     let mut out = String::from(
@@ -439,13 +451,13 @@ pub fn fig8(scale: Scale, paths: &OutputPaths) -> String {
     out.push_str(
         "\nReading: with all else held constant, the two initial models yield different tradeoff curves, and Δ-accuracy does not remove the confounder.\n",
     );
-    save(paths, "fig8", &out, Some(&table));
-    out
+    save(paths, "fig8", &out, Some(&table))?;
+    Ok(out)
 }
 
 /// The ablation comparing accuracy before vs after fine-tuning, computed
 /// from the Figure 7 records at no extra cost.
-pub fn ablation_finetune(scale: Scale, paths: &OutputPaths) -> String {
+pub fn ablation_finetune(scale: Scale, paths: &OutputPaths) -> io::Result<String> {
     let records = run_experiment("resnet56", scale, paths);
     let mut out = String::from(
         "Ablation: validation top-1 immediately after pruning vs after fine-tuning (ResNet-56, CIFAR-like).\n\n",
@@ -480,8 +492,8 @@ pub fn ablation_finetune(scale: Scale, paths: &OutputPaths) -> String {
         ]);
     }
     out.push_str(&table.to_markdown());
-    save(paths, "ablation-finetune", &out, Some(&table));
-    out
+    save(paths, "ablation-finetune", &out, Some(&table))?;
+    Ok(out)
 }
 
 /// Side-by-side ablation over two experiment variants.
@@ -492,7 +504,7 @@ pub fn ablation_pair(
     id_b: &str,
     scale: Scale,
     paths: &OutputPaths,
-) -> String {
+) -> io::Result<String> {
     ablation_multi(name, caption, &[id_a, id_b], scale, paths)
 }
 
@@ -503,7 +515,7 @@ pub fn ablation_multi(
     ids: &[&str],
     scale: Scale,
     paths: &OutputPaths,
-) -> String {
+) -> io::Result<String> {
     let mut out = format!("{caption}\n\n");
     let mut combined = Table::new(vec![
         "variant",
@@ -529,13 +541,13 @@ pub fn ablation_multi(
         }
     }
     out.push_str(&combined.to_markdown());
-    save(paths, name, &out, Some(&combined));
-    out
+    save(paths, name, &out, Some(&combined))?;
+    Ok(out)
 }
 
 /// Section 5.2 as an artifact: the same pruned model reported under every
 /// metric convention found in the literature.
-pub fn metrics_ambiguity(paths: &OutputPaths) -> String {
+pub fn metrics_ambiguity(paths: &OutputPaths) -> io::Result<String> {
     use sb_metrics::{ambiguity_report, ModelProfile};
     use sb_nn::NetworkExt;
     use shrinkbench::{GlobalMagnitude, Pruner};
@@ -569,13 +581,13 @@ pub fn metrics_ambiguity(paths: &OutputPaths) -> String {
         "\nspread between largest and smallest dense-FLOP count: {:.2}x\n(the paper found up to 4x for AlexNet across Yang 2017 / Choi 2019 / Han 2015)",
         report.flop_spread
     );
-    save(paths, "metrics-ambiguity", &out, Some(&table));
-    out
+    save(paths, "metrics-ambiguity", &out, Some(&table))?;
+    Ok(out)
 }
 
 /// Appendix B as an artifact: score this repository's own standard
 /// experiment suite against the paper's reviewer checklist.
-pub fn checklist_artifact(scale: Scale, paths: &OutputPaths) -> String {
+pub fn checklist_artifact(scale: Scale, paths: &OutputPaths) -> io::Result<String> {
     use shrinkbench::checklist::{evaluate_experiment, evaluate_suite};
 
     let suite_ids = ["cifar-vgg", "resnet20", "resnet56", "imagenet-resnet18"];
@@ -594,13 +606,13 @@ pub fn checklist_artifact(scale: Scale, paths: &OutputPaths) -> String {
         let report = evaluate_experiment(cfg, &records);
         let _ = writeln!(out, "{id}:\n{report}");
     }
-    save(paths, "checklist", &out, None);
-    out
+    save(paths, "checklist", &out, None)?;
+    Ok(out)
 }
 
 /// Reporting-hygiene artifact: which of the 37 reporting papers follow
 /// which of the Section 6 recommendations.
-pub fn hygiene(paths: &OutputPaths) -> String {
+pub fn hygiene(paths: &OutputPaths) -> io::Result<String> {
     use sb_corpus::hygiene::{hygiene_summary, paper_hygiene};
     let corpus = build_corpus();
     let rows = paper_hygiene(&corpus);
@@ -632,8 +644,8 @@ pub fn hygiene(paths: &OutputPaths) -> String {
         summary.both_accuracy_metrics,
         summary.with_central_tendency
     );
-    save(paths, "hygiene", &out, Some(&table));
-    out
+    save(paths, "hygiene", &out, Some(&table))?;
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -708,7 +720,7 @@ mod tests {
 /// the paper's theoretical (multiply-add-ratio) metric. Timings are
 /// indicative (single-shot medians), not Criterion-grade; use
 /// `cargo bench --bench realized` for careful numbers.
-pub fn realized_speedup(paths: &OutputPaths) -> String {
+pub fn realized_speedup(paths: &OutputPaths) -> io::Result<String> {
     use sb_tensor::{Rng, SparseMatrix, Tensor};
     use std::time::Instant;
 
@@ -760,8 +772,8 @@ pub fn realized_speedup(paths: &OutputPaths) -> String {
     out.push_str(
         "\nReading: the CSR kernel recovers only part of the theoretical speedup (irregular access, index overhead) — why the paper treats multiply-add ratios as a proxy, and why structured pruning exists.\n",
     );
-    save(paths, "realized-speedup", &out, Some(&table));
-    out
+    save(paths, "realized-speedup", &out, Some(&table))?;
+    Ok(out)
 }
 
 /// Theoretical vs realized speedup for whole compiled models (the
@@ -769,7 +781,7 @@ pub fn realized_speedup(paths: &OutputPaths) -> String {
 /// with wall-clock measurement enabled, then charts the paper's
 /// multiply-add-ratio speedup against the speedup the compiled
 /// inference engine actually delivers over its dense-compiled baseline.
-pub fn inference_speedup(scale: Scale, paths: &OutputPaths) -> String {
+pub fn inference_speedup(scale: Scale, paths: &OutputPaths) -> io::Result<String> {
     let cfg = experiment_config("realized-inference", scale).expect("known id");
     let mut runner = ExperimentRunner::with_cache(&paths.results);
     runner.verbose = true;
@@ -830,8 +842,8 @@ pub fn inference_speedup(scale: Scale, paths: &OutputPaths) -> String {
     out.push_str(
         "\nReading: realized speedup trails the multiply-add ratio — CSR pays index overhead at every nonzero and only wins at high sparsity, while structured (filter) pruning shrinks the dense kernels themselves and converts more of its (smaller) theoretical figure into wall-clock. This is the gap Section 2.1 warns about when papers report FLOP ratios as \"speedup\".\n",
     );
-    save(paths, "inference-speedup", &out, Some(&table));
-    out
+    save(paths, "inference-speedup", &out, Some(&table))?;
+    Ok(out)
 }
 
 /// Where realized inference latency actually goes: runs a pruned,
@@ -841,7 +853,7 @@ pub fn inference_speedup(scale: Scale, paths: &OutputPaths) -> String {
 /// way, so the table shows which layers the chosen formats actually
 /// accelerated — the per-layer story behind the `inference-speedup`
 /// aggregate. Timings are indicative and machine-dependent.
-pub fn latency_attribution(paths: &OutputPaths) -> String {
+pub fn latency_attribution(paths: &OutputPaths) -> io::Result<String> {
     use sb_tensor::{Rng, Tensor};
     use shrinkbench::{GlobalMagnitude, Pruner};
 
@@ -921,8 +933,8 @@ pub fn latency_attribution(paths: &OutputPaths) -> String {
     out.push_str(
         "\nReading: the share column localizes the realized-speedup gap — a CSR layer whose FLOP count fell 8x but whose share barely moved is paying index overhead, while shrunk-dense layers convert their smaller FLOP count into a proportional share.\n",
     );
-    save(paths, "latency-attribution", &out, Some(&table));
-    out
+    save(paths, "latency-attribution", &out, Some(&table))?;
+    Ok(out)
 }
 
 /// Realized wall-clock of every compiled execution format across
@@ -936,7 +948,7 @@ pub fn latency_attribution(paths: &OutputPaths) -> String {
 /// index chasing) is visible next to the aggregate. Timings are
 /// indicative and machine-dependent; `cargo bench --bench realized`
 /// holds the careful numbers.
-pub fn format_crossover(paths: &OutputPaths) -> String {
+pub fn format_crossover(paths: &OutputPaths) -> io::Result<String> {
     use sb_metrics::RealizedSweep;
     use sb_tensor::{Rng, Tensor};
     use shrinkbench::{GlobalMagnitude, Pruner};
@@ -1075,8 +1087,8 @@ pub fn format_crossover(paths: &OutputPaths) -> String {
     out.push_str(&format!(
         "\nReading: each point is a median-of-{k} whole-model forward against one shared dense-compiled baseline, timed in interleaved rounds (the dense row gauges measurement noise). The baseline runs the register-tiled dense kernel, so a sparse format has to beat a vectorized dense loop: CSR pays per-nonzero index chasing and only nears dense at extreme sparsity; BSR amortizes indexing over 4-wide vector lanes and beats CSR on the convolution layers at low-to-mid ratios; the bitmap kernel spends storage (dense values + occupancy masks) on a branch-free inner loop that closes in at high ratios; {crossover_note}.\n",
     ));
-    save(paths, "format-crossover", &out, Some(&table));
-    out
+    save(paths, "format-crossover", &out, Some(&table))?;
+    Ok(out)
 }
 
 /// Per-layer sparsity profile: where Global vs Layerwise magnitude
@@ -1084,7 +1096,7 @@ pub fn format_crossover(paths: &OutputPaths) -> String {
 /// mechanism behind Figure 6's compression/speedup crossover (global
 /// ranking empties the cheap, over-parameterized layers first; layerwise
 /// thins every layer, including the spatially expensive early convs).
-pub fn sparsity_profile(paths: &OutputPaths) -> String {
+pub fn sparsity_profile(paths: &OutputPaths) -> io::Result<String> {
     use sb_metrics::ModelProfile;
     use sb_tensor::Rng;
     use shrinkbench::{GlobalMagnitude, LayerMagnitude, Pruner, Strategy};
@@ -1132,8 +1144,8 @@ pub fn sparsity_profile(paths: &OutputPaths) -> String {
         layer.theoretical_speedup()
     );
     out.push_str("Reading: at equal compression, Layerwise prunes the FLOP-heavy early convolutions as hard as everything else, which is why it buys more theoretical speedup (fig6), while Global protects whichever tensors hold large weights.\n");
-    save(paths, "sparsity-profile", &out, Some(&table));
-    out
+    save(paths, "sparsity-profile", &out, Some(&table))?;
+    Ok(out)
 }
 
 /// Serving under load: pruned vs dense LeNet-300-100 behind the
@@ -1146,7 +1158,7 @@ pub fn sparsity_profile(paths: &OutputPaths) -> String {
 /// runs for every batch, it just doesn't set the virtual clock.
 /// `cargo bench --bench serve` holds the wall-clock counterpart
 /// (`BENCH_serve.json`).
-pub fn serving_latency(paths: &OutputPaths) -> String {
+pub fn serving_latency(paths: &OutputPaths) -> io::Result<String> {
     use sb_serve::{
         profile, run_open_loop_sim, ArrivalProcess, InferEngine, LoadSpec, ServeConfig, Server,
         ServiceModel, SimClock,
@@ -1265,8 +1277,8 @@ pub fn serving_latency(paths: &OutputPaths) -> String {
     out.push_str(
         "\nReading: the dense model saturates inside the sweep — at the top offered load its p99 roughly quadruples and the bounded admission queue sheds over a fifth of requests — while the pruned models serve the same loads with flat tail latency and zero shed; pruning buys serving headroom, not just per-batch microseconds.\n",
     );
-    save(paths, "serving-latency", &out, Some(&table));
-    out
+    save(paths, "serving-latency", &out, Some(&table))?;
+    Ok(out)
 }
 
 /// Extension (sb-serve + sb-fault): the fault-recovery arc under a
@@ -1279,7 +1291,7 @@ pub fn serving_latency(paths: &OutputPaths) -> String {
 /// artifact buckets completions over virtual time — who served them,
 /// what failed, tail latency — and prints the breaker transition
 /// timeline. Deterministic and thread-count-independent.
-pub fn fault_recovery(paths: &OutputPaths) -> String {
+pub fn fault_recovery(paths: &OutputPaths) -> io::Result<String> {
     use sb_serve::{
         run_open_loop_sim, ArrivalProcess, BackoffPolicy, BatchEngine, BreakerConfig, FaultPlan,
         FaultSpec, InferEngine, LoadSpec, Outcome, RejectReason, RetryPolicy, ServeConfig, Server,
@@ -1482,8 +1494,8 @@ pub fn fault_recovery(paths: &OutputPaths) -> String {
     out.push_str(
         "\nReading: before the fault window every completion is served by the dense primary. When the scripted burst begins, the first few batches fail their whole membership (EngineFailure — the panic is contained to the batch, never the server), the breaker trips within one sliding window, and service shifts to the pruned fallback: completions keep flowing and p99 stays inside the deadline because the fallback is an order of magnitude cheaper. While the burst lasts, each half-open probe meets another scripted panic and re-opens the breaker; once the window passes, two clean probes re-close it and the primary takes back the traffic. The pruned model is what makes degraded mode cheap enough to ride out the outage without shedding.\n",
     );
-    save(paths, "fault-recovery", &out, Some(&table));
-    out
+    save(paths, "fault-recovery", &out, Some(&table))?;
+    Ok(out)
 }
 
 /// Extension (sb-sched): multi-model fairness under one shared pool.
@@ -1500,7 +1512,7 @@ pub fn fault_recovery(paths: &OutputPaths) -> String {
 /// queue head is served EDF-first *ahead of* WFQ order within its class,
 /// which would override the 3:1 share this figure demonstrates (the
 /// deadline/EDF/quota story is the sched bench's `quota_demo`).
-pub fn multi_model_fairness(paths: &OutputPaths) -> String {
+pub fn multi_model_fairness(paths: &OutputPaths) -> io::Result<String> {
     use sb_sched::{
         profile, run_multi_open_loop_sim, MultiServer, Priority, SchedConfig, TenantLoad,
         TenantPolicy, TenantSpec,
@@ -1676,6 +1688,6 @@ pub fn multi_model_fairness(paths: &OutputPaths) -> String {
     out.push_str(
         "\nReading: at light load shares simply track demand and everyone's p99 is flat. As the interactive tenants saturate the pool, their served-cost shares converge to the 3:1 WFQ weights — same model, same arrivals, 3x the service — while the excess on the lighter-weighted tenant is shed at admission once its bounded queue fills, rather than queued stale. The dense batch-class tenant keeps its slack-time share at light load and is starved by strict priority at overload: proportional sharing belongs to weights within a class (deadline-carrying heads would instead be served EDF-first), and the pick log (sched:pick spans) records every decision that produced these shares.\n",
     );
-    save(paths, "multi-model-fairness", &out, Some(&table));
-    out
+    save(paths, "multi-model-fairness", &out, Some(&table))?;
+    Ok(out)
 }

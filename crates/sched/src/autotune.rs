@@ -28,20 +28,6 @@ use sb_metrics::SchedProfile;
 use sb_serve::SimClock;
 use std::sync::Arc;
 
-impl Clone for TenantSpec {
-    fn clone(&self) -> Self {
-        TenantSpec {
-            name: self.name.clone(),
-            weight: self.weight,
-            priority: self.priority,
-            policy: self.policy,
-            engine: Arc::clone(&self.engine),
-            fallback: self.fallback.as_ref().map(Arc::clone),
-            breaker: self.breaker,
-        }
-    }
-}
-
 /// What the tuner optimizes and over which grid.
 #[derive(Debug, Clone)]
 pub struct TuneSpec {

@@ -12,7 +12,10 @@
 //! multi-tenant scheduler in which every allocation decision is an
 //! explicit, externally checkable policy.
 //!
-//! The pieces:
+//! The scheduler itself, [`MultiServer`], lives in `sb-serve`, where it
+//! is the one serving core and `sb_serve::Server` is its one-tenant
+//! case; this crate re-exports it and its tenant types at their old
+//! paths. The pieces:
 //!
 //! * [`MultiServer`] — several [`BatchEngine`](sb_serve::BatchEngine)s
 //!   behind one `sb-runtime` pool, each tenant with its own bounded
@@ -21,34 +24,27 @@
 //! * [`TenantQuota`] **admission quotas** — a token bucket per tenant
 //!   (`rate_per_s`/`burst`, refilled from the clock) shedding with
 //!   `QuotaExceeded` *before* the queue cap, so one tenant's burst
-//!   cannot outrun its provisioned rate; admission also sweeps
-//!   deadline-expired queue entries before the cap check, so a live
-//!   request is never shed against a stale "full" queue;
+//!   cannot outrun its provisioned rate;
 //! * **Weighted fair queueing** — virtual-time WFQ over per-tenant
 //!   queues, charged in batch-cost units from the engines' service
-//!   models (for compiled models, the sb-infer cost model's effective
-//!   MACs), so a cheap pruned tenant cannot be starved by a dense one;
+//!   models, so a cheap pruned tenant cannot be starved by a dense one;
 //! * [`Priority`] **classes with EDF** — `Interactive` strictly
-//!   preempts `Batch` at dequeue, and within a class an eligible tenant
-//!   whose queue head carries the earliest deadline is served before
-//!   WFQ order; every decision lands in a [`PickRecord`] log (eligible
-//!   set + head deadlines) that makes non-inversion, EDF ordering, and
+//!   preempts `Batch` at dequeue, and within a class the earliest head
+//!   deadline is served before WFQ order; every decision lands in a
+//!   [`PickRecord`] log that makes non-inversion, EDF ordering, and
 //!   fairness testable properties;
-//! * [`autotune`] — picks each tenant's `max_batch`/`max_wait_us` (and
-//!   optionally its admission quota) for a target p99 by sweeping
-//!   `sb-serve`'s deterministic [`SimClock`](sb_serve::SimClock)
-//!   simulator: a pure function of `(config, workload, seed)`,
-//!   byte-identical at any `SB_RUNTIME_THREADS`;
+//! * **per-tenant fault tolerance** — panics and exhausted retries
+//!   resolve as `EngineFailure` inside the tenant, and a per-tenant
+//!   circuit breaker reroutes to a pruned fallback or sheds with
+//!   `CircuitOpen` ([`TenantBreakerEvent`]s log every transition);
+//! * [`autotune`](fn@autotune) — picks each tenant's `max_batch`/`max_wait_us` (and
+//!   optionally its admission quota) for a target p99 by sweeping the
+//!   deterministic [`SimClock`](sb_serve::SimClock) simulator: a pure
+//!   function of `(config, workload, seed)`, byte-identical at any
+//!   `SB_RUNTIME_THREADS`;
 //! * [`load`] — merged per-tenant arrival schedules, an open-loop sim
 //!   driver, and the [`sb_metrics::SchedProfile`] glue (per-tenant
-//!   throughput/p99/occupancy and fairness error vs ideal WFQ shares);
-//! * **per-tenant fault tolerance** — each tenant is its own failure
-//!   domain: batch panics resolve members as `EngineFailure` without
-//!   touching other tenants, transient faults retry with backoff
-//!   ([`MultiServer::with_retry`]), and a per-tenant circuit breaker
-//!   ([`TenantSpec::with_breaker`]) reroutes to a pruned fallback
-//!   engine ([`TenantSpec::with_fallback`]) or sheds with
-//!   `CircuitOpen`; [`TenantBreakerEvent`]s log every transition.
+//!   throughput/p99/occupancy and fairness error vs ideal WFQ shares).
 //!
 //! Spans: `sched:admit`, `sched:pick`, `sched:tenant:{name}`,
 //! `sched:batch`, `sched:exec`; counters reuse the serving set
@@ -57,10 +53,11 @@
 
 pub mod autotune;
 pub mod load;
-pub mod sched;
-pub mod tenant;
+pub use sb_serve::{sched, tenant};
 
 pub use autotune::{autotune, simulate, TuneResult, TuneSpec};
 pub use load::{drain_multi_sim, merged_arrivals, profile, run_multi_open_loop_sim, TenantLoad};
-pub use sched::{MultiServer, PickRecord, SchedCompletion, SchedConfig, TenantBreakerEvent};
-pub use tenant::{Priority, TenantPolicy, TenantQuota, TenantSpec};
+pub use sb_serve::{
+    MultiServer, PickRecord, Priority, SchedCompletion, SchedConfig, TenantBreakerEvent,
+    TenantPolicy, TenantQuota, TenantSpec,
+};

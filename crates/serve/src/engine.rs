@@ -18,7 +18,7 @@
 
 use sb_infer::{CompiledModel, FeatureShape, ForwardScratch};
 use sb_tensor::Tensor;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Linear batch service-time model: `base_us + per_sample_us · n`.
 ///
@@ -138,49 +138,6 @@ impl BatchEngine for InferEngine {
 
     fn service_us(&self, n: usize) -> u64 {
         self.service.batch_us(n)
-    }
-}
-
-/// A primary engine paired with a cheaper (typically heavily pruned)
-/// fallback serving the same traffic shape.
-///
-/// The pair is validated once at construction — identical sample length
-/// and class count — so the server can route any formed batch to either
-/// engine while the primary's circuit breaker is open, and a completion
-/// differs only in latency and provenance, never in shape.
-pub struct FallbackEngine {
-    primary: Arc<dyn BatchEngine>,
-    fallback: Arc<dyn BatchEngine>,
-}
-
-impl FallbackEngine {
-    /// Pairs `primary` with `fallback`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engines disagree on sample length or class count.
-    pub fn new(primary: Arc<dyn BatchEngine>, fallback: Arc<dyn BatchEngine>) -> Self {
-        assert_eq!(
-            primary.sample_len(),
-            fallback.sample_len(),
-            "fallback engine sample length must match the primary"
-        );
-        assert_eq!(
-            primary.classes(),
-            fallback.classes(),
-            "fallback engine class count must match the primary"
-        );
-        FallbackEngine { primary, fallback }
-    }
-
-    /// The full-quality engine.
-    pub fn primary(&self) -> &Arc<dyn BatchEngine> {
-        &self.primary
-    }
-
-    /// The degraded-mode engine.
-    pub fn fallback(&self) -> &Arc<dyn BatchEngine> {
-        &self.fallback
     }
 }
 

@@ -13,10 +13,14 @@
 //!
 //! The pieces:
 //!
-//! * [`Server`] — dynamic micro-batching over a [`BatchEngine`], with a
-//!   bounded admission queue, per-request absolute deadlines,
-//!   cancellation, and graceful drain ([`server`] module docs cover the
-//!   queueing model);
+//! * [`MultiServer`] — the one serving core ([`sched`] module docs):
+//!   several [`BatchEngine`] tenants, each with a bounded admission
+//!   queue and [`TenantPolicy`], sharing one inflight window, with
+//!   per-request absolute deadlines, cancellation, graceful drain,
+//!   token-bucket quotas, priority classes, weighted fair queueing, and
+//!   per-tenant retry, circuit breakers and fallback engines;
+//! * [`Server`] — the single-model front: a [`MultiServer`] with one
+//!   tenant, configured by a [`ServeConfig`];
 //! * [`Clock`] / [`WallClock`] / [`SimClock`] — every serving decision
 //!   reads time through a trait, so the same server measures the real
 //!   machine or replays bit-reproducibly under a virtual clock at any
@@ -24,21 +28,25 @@
 //! * [`InferEngine`] / [`EchoEngine`] — the real compiled-model backend
 //!   and a compute-free one for queueing tests;
 //! * [`load`] — seeded arrival processes (uniform / bursty / ramp) and
-//!   open-/closed-loop drivers.
+//!   open-/closed-loop drivers for [`Server`].
 //!
-//! Batches execute on the `sb-runtime` pool via `JobQueue`, so serving
-//! composes with the same scheduler, tracing, and determinism contract
-//! as the rest of the workspace. Spans: `serve:admit`, `serve:batch`,
-//! `serve:exec`; counters: `RequestsAdmitted`, `RequestsRejected`,
+//! Batches execute as `sb-runtime` `JobQueue` jobs labelled `batch`, so
+//! serving composes with the same scheduler, tracing, and determinism
+//! contract as the rest of the workspace. Spans: `serve:admit`,
+//! `serve:batch`, `serve:exec` for [`Server`]; `sched:admit`,
+//! `sched:pick`, `sched:tenant:{name}`, `sched:batch`, `sched:exec` for
+//! [`MultiServer`]. Counters: `RequestsAdmitted`, `RequestsRejected`,
 //! `BatchesExecuted`, `BatchOccupancy`.
 
 pub mod clock;
 pub mod engine;
 pub mod load;
+pub mod sched;
 pub mod server;
+pub mod tenant;
 
 pub use clock::{Clock, SimClock, WallClock};
-pub use engine::{BatchEngine, EchoEngine, FallbackEngine, InferEngine, ServiceModel};
+pub use engine::{BatchEngine, EchoEngine, InferEngine, ServiceModel};
 pub use load::{
     drain_sim, profile, run_closed_loop_sim, run_open_loop_sim, run_open_loop_wall,
     ArrivalProcess, LoadSpec,
@@ -47,4 +55,6 @@ pub use sb_fault::{
     BackoffPolicy, BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker, Fault,
     FaultPlan, FaultSpec, RetryPolicy,
 };
+pub use sched::{MultiServer, PickRecord, SchedCompletion, SchedConfig, TenantBreakerEvent};
 pub use server::{Completion, Outcome, RejectReason, ServeConfig, ServedBy, Server};
+pub use tenant::{Priority, TenantPolicy, TenantQuota, TenantSpec};

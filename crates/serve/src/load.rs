@@ -11,7 +11,7 @@
 //!   load self-limits to server capacity.
 //!
 //! Both drivers obey the single-driver discipline from
-//! [`crate::server`]: one thread submits, pumps, and advances the clock.
+//! [`crate::sched`]: one thread submits, pumps, and advances the clock.
 //! Under a [`SimClock`] the driver advances time event-by-event —
 //! `min(next arrival, next server event)` — so the full outcome stream
 //! is a deterministic function of `(spec, seed)`.
@@ -157,11 +157,12 @@ pub fn run_open_loop_sim<E: BatchEngine + 'static>(
     out
 }
 
-/// Runs `spec` open-loop against a **wall-clock** server, spinning to
-/// each arrival time. Measures the real machine; not deterministic.
-/// `clock` must be the same [`WallClock`](crate::WallClock) the server
-/// was built with (arrival times and deadlines are in its epoch), offset
-/// so that "time zero" for the schedule is this call.
+/// Runs `spec` open-loop against a **wall-clock** server, pumping and
+/// yielding until each arrival time. Measures the real machine; not
+/// deterministic. `clock` must be the same
+/// [`WallClock`](crate::WallClock) the server was built with (arrival
+/// times and deadlines are in its epoch), offset so that "time zero" for
+/// the schedule is this call.
 ///
 /// Latency is corrected for **coordinated omission**: every request is
 /// accounted from its *scheduled* arrival, not from the moment the
@@ -187,7 +188,9 @@ pub fn run_open_loop_wall<E: BatchEngine + 'static>(
         let due = epoch + at;
         while clock.now_us() < due {
             server.pump();
-            std::hint::spin_loop();
+            // Yield rather than spin: on a small machine a spinning
+            // driver holds the core the batch workers need.
+            std::thread::yield_now();
         }
         let id = server.submit(make_input(i), spec.deadline_us.map(|d| due + d));
         scheduled.insert(id, due);

@@ -1,7 +1,12 @@
-//! The multi-model scheduling core: per-tenant bounded queues and
-//! batching policies, weighted fair queueing across tenants, strict
-//! priority classes at dequeue, and one shared execution window over a
-//! single `sb-runtime` pool.
+//! The serving core: per-tenant bounded queues and batching policies,
+//! weighted fair queueing across tenants, strict priority classes at
+//! dequeue, and one shared execution window over a `JobQueue`.
+//!
+//! [`MultiServer`] is the one implementation of admission, expiry,
+//! batching, launch, harvest, retry, breaker and fallback routing.
+//! [`Server`](crate::Server) is its one-tenant case: a facade over a
+//! `MultiServer` with a single weight-1 [`Priority::Interactive`] tenant,
+//! whose picks decide nothing.
 //!
 //! # Scheduling model
 //!
@@ -14,31 +19,36 @@
 //!            └──────────────────┘                  └──────────┘
 //! ```
 //!
-//! Like [`sb_serve::Server`], the scheduler is **driver-pumped**: one
-//! thread submits, pumps, and advances the clock; batch execution is the
-//! only concurrent part and is harvested strictly in launch order, so
-//! under a [`SimClock`](sb_serve::SimClock) the full tagged outcome
-//! stream is a pure function of the submitted workload at any
-//! `SB_RUNTIME_THREADS`.
+//! The core is **driver-pumped**: one thread (the load generator, a
+//! test, a CLI) submits, pumps, cancels and advances the clock, and every
+//! queueing decision happens on that thread at a time it reads from the
+//! [`Clock`]. Batch execution is the only concurrent part and is
+//! harvested strictly in launch order, so under a
+//! [`SimClock`](crate::SimClock) the batch's completion time comes from
+//! the engine's service model and the full tagged outcome stream is a
+//! pure function of the submitted workload at any `SB_RUNTIME_THREADS`.
 //!
 //! # Admission policy
 //!
 //! Admission happens in a fixed order at [`MultiServer::submit`] time:
-//! the tenant's queue is first swept of dead occupants (expired
-//! deadlines, cancellations) so a live request is never shed against a
-//! stale "full" queue, then the request passes the drain check, its
-//! tenant's token-bucket quota ([`TenantQuota`](crate::TenantQuota),
-//! refilled from the [`Clock`] so SimClock runs stay deterministic), the
-//! queue cap, and the dead-on-arrival deadline check. Quota precedes the
-//! cap: a rate-limited tenant is shed with
-//! [`RejectReason::QuotaExceeded`] before its burst can pile work into
-//! the shared window.
+//! the queues are first swept of dead occupants (expired deadlines,
+//! cancellations) so a live request is never shed against a stale
+//! "full" queue, then the request passes the drain check, its tenant's
+//! token-bucket quota ([`TenantQuota`](crate::TenantQuota), refilled from
+//! the [`Clock`] so SimClock runs stay deterministic), the breaker check,
+//! the queue cap, and the dead-on-arrival deadline check. The drain
+//! check comes before the breaker is polled, so a request refused as
+//! `ShuttingDown` never moves a breaker. Quota precedes the cap: a
+//! rate-limited tenant is shed with [`RejectReason::QuotaExceeded`]
+//! before its burst can pile work into the shared window.
 //!
-//! # Dequeue policy
+//! # Batching and dequeue policy
 //!
-//! A tenant is **eligible** when its queue holds a formable batch (full
-//! batch, head past `max_wait_us`, or draining) and the shared inflight
-//! window has a free slot. Among eligible tenants the pick is:
+//! A tenant is **eligible** when its queue holds a formable batch (its
+//! `max_batch` requests, a head that has waited `max_wait_us`, or a
+//! drain) and the shared inflight window has a free slot; a full window
+//! lets the queues fill until admission sheds with `QueueFull`, which is
+//! the backpressure. Among eligible tenants the pick is:
 //!
 //! 1. **Strict priority** — any eligible [`Priority::Interactive`]
 //!    tenant beats every [`Priority::Batch`] tenant;
@@ -63,28 +73,32 @@
 //!
 //! # Failure domains
 //!
-//! Each tenant is its own failure domain, mirroring
-//! [`sb_serve::Server`]'s model: a panicking or erroring batch resolves
-//! every member to [`RejectReason::EngineFailure`] without touching the
-//! driver thread or any other tenant's queue, transient errors retry
-//! with bounded backoff ([`MultiServer::with_retry`]), and a per-tenant
-//! circuit breaker ([`TenantSpec::with_breaker`]) trips on the tenant's
-//! own primary-engine error rate. While a tenant's breaker is open its
-//! traffic routes to that tenant's pruned fallback engine
-//! ([`TenantSpec::with_fallback`]) — charged at the *fallback's* WFQ
-//! price, so degraded tenants get cheaper batches, not starved ones —
-//! or, with no fallback, is shed as
-//! [`RejectReason::CircuitOpen`]. Injected faults
+//! Each tenant is its own failure domain. The batch job is the panic
+//! containment boundary: a panicking batch, one whose transient errors
+//! outlast the retry budget ([`MultiServer::with_retry`], backoff priced
+//! into the virtual completion time), or one whose engine returns the
+//! wrong number of predictions resolves every member to
+//! [`RejectReason::EngineFailure`] without touching the driver thread or
+//! any other tenant's queue. A per-tenant circuit breaker
+//! ([`TenantSpec::with_breaker`]) trips on the tenant's own primary
+//! error rate. While it is open the tenant's traffic routes to its
+//! pruned fallback engine ([`TenantSpec::with_fallback`]) — charged at
+//! the *fallback's* WFQ price, so degraded tenants get cheaper batches,
+//! not starved ones — or, with no fallback, is shed as
+//! [`RejectReason::CircuitOpen`]; half-open probe batches test the
+//! primary and re-close the breaker. Injected faults
 //! ([`MultiServer::with_faults`]) key off `(tenant, primary batch
 //! index)`, so a fault run replays bit-identically at any thread count.
 //!
-//! [`service_us`]: sb_serve::BatchEngine::service_us
+//! [`service_us`]: crate::BatchEngine::service_us
 
+use crate::clock::Clock;
+use crate::engine::BatchEngine;
+use crate::server::{Completion, Outcome, RejectReason, ServedBy};
 use crate::tenant::{Priority, TenantSpec};
 use sb_fault::{BreakerState, CircuitBreaker, Fault, FaultPlan, RetryPolicy};
 use sb_json::{json_struct, Json, ToJson};
 use sb_runtime::{Backoff, JobHandle, JobQueue, JobSpec};
-use sb_serve::{BatchEngine, Clock, Completion, Outcome, RejectReason, ServedBy};
 use sb_trace::CounterId;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -96,8 +110,34 @@ const VTIME_SHIFT: u32 = 16;
 /// Micro-tokens per admission. Quota buckets count in millionths of a
 /// token so that a refill of `rate_per_s` tokens/second is exactly
 /// `rate_per_s` micro-tokens per microsecond — integer-exact under a
-/// [`SimClock`](sb_serve::SimClock), no drift, no rounding residue.
+/// [`SimClock`](crate::SimClock), no drift, no rounding residue.
 const QUOTA_TOKEN: u64 = 1_000_000;
+
+/// The span names one front of the core opens, fixed at construction:
+/// the benchmark's per-layer metrics read them, and [`Server`]'s pump
+/// path opens none.
+///
+/// [`Server`]: crate::Server
+pub(crate) struct SpanNames {
+    /// Around each submit.
+    pub(crate) admit: &'static str,
+    /// Around each dequeue decision, launching or not.
+    pub(crate) pick: Option<&'static str>,
+    /// Whether a launch opens `sched:tenant:{name}` around its batch.
+    pub(crate) tenant: bool,
+    /// Around each batch formation and launch.
+    pub(crate) batch: &'static str,
+    /// Inside each batch job.
+    pub(crate) exec: &'static str,
+}
+
+const SCHED_SPANS: SpanNames = SpanNames {
+    admit: "sched:admit",
+    pick: Some("sched:pick"),
+    tenant: true,
+    batch: "sched:batch",
+    exec: "sched:exec",
+};
 
 /// Shared scheduler knobs (per-tenant knobs live in
 /// [`TenantPolicy`](crate::TenantPolicy)).
@@ -259,6 +299,7 @@ pub struct MultiServer {
     cfg: SchedConfig,
     clock: Arc<dyn Clock>,
     jobs: JobQueue,
+    spans: &'static SpanNames,
     tenants: Vec<TenantState>,
     inflight: VecDeque<Inflight>,
     completions: Vec<SchedCompletion>,
@@ -284,26 +325,6 @@ impl MultiServer {
     /// policy (zero `max_batch`/`queue_cap`), or a zero-burst quota — a
     /// misconfigured tenant would otherwise silently starve or spin.
     pub fn new(tenants: Vec<TenantSpec>, cfg: SchedConfig, clock: Arc<dyn Clock>) -> Self {
-        assert!(!tenants.is_empty(), "need at least one tenant");
-        assert!(cfg.max_inflight > 0, "max_inflight must be positive");
-        for t in &tenants {
-            assert!(t.weight > 0, "tenant {:?}: weight must be positive", t.name);
-            assert!(
-                t.policy.max_batch > 0,
-                "tenant {:?}: max_batch must be positive",
-                t.name
-            );
-            assert!(
-                t.policy.queue_cap > 0,
-                "tenant {:?}: queue_cap must be positive",
-                t.name
-            );
-            assert!(
-                t.policy.quota.map_or(true, |q| q.burst > 0),
-                "tenant {:?}: quota burst must be positive",
-                t.name
-            );
-        }
         // Under a virtual clock the runtime's default resolution is
         // exactly right: at 1-thread resolution batches run inline and
         // resolve instantly, which is what makes simulation a pure
@@ -320,10 +341,43 @@ impl MultiServer {
                 sb_runtime::effective_parallelism().max(2),
             )))
         };
+        Self::build(tenants, cfg, clock, jobs, &SCHED_SPANS)
+    }
+
+    /// The constructor behind both fronts: `jobs` is where batches run
+    /// and `spans` names the spans this front opens.
+    pub(crate) fn build(
+        tenants: Vec<TenantSpec>,
+        cfg: SchedConfig,
+        clock: Arc<dyn Clock>,
+        jobs: JobQueue,
+        spans: &'static SpanNames,
+    ) -> Self {
+        assert!(!tenants.is_empty(), "need at least one tenant");
+        assert!(cfg.max_inflight > 0, "max_inflight must be positive");
+        for t in &tenants {
+            assert!(t.weight > 0, "tenant {:?}: weight must be positive", t.name);
+            assert!(
+                t.policy.max_batch > 0,
+                "tenant {:?}: max_batch must be positive",
+                t.name
+            );
+            assert!(
+                t.policy.queue_cap > 0,
+                "tenant {:?}: queue_cap must be positive",
+                t.name
+            );
+            assert!(
+                t.policy.quota.is_none_or(|q| q.burst > 0),
+                "tenant {:?}: quota burst must be positive",
+                t.name
+            );
+        }
         MultiServer {
             cfg,
             clock,
             jobs,
+            spans,
             tenants: tenants
                 .into_iter()
                 .map(|spec| TenantState {
@@ -369,6 +423,14 @@ impl MultiServer {
         assert!(retry.max_attempts >= 1, "retry needs at least one attempt");
         self.retry = retry;
         self
+    }
+
+    /// Edits a tenant's spec before any traffic and re-arms its breaker
+    /// from it ([`Server`](crate::Server)'s builders).
+    pub(crate) fn respec(&mut self, tenant: usize, edit: impl FnOnce(&mut TenantSpec)) {
+        let t = &mut self.tenants[tenant];
+        edit(&mut t.spec);
+        t.breaker = t.spec.breaker.map(CircuitBreaker::new);
     }
 
     /// A tenant's breaker state; `None` when the tenant has no breaker.
@@ -428,7 +490,7 @@ impl MultiServer {
             "request sample length for tenant {:?}",
             self.tenants[tenant].spec.name
         );
-        let _admit = sb_trace::span("sched:admit");
+        let _admit = sb_trace::span(self.spans.admit);
         let now = self.clock.now_us();
         // Sweep dead occupants *before* the admission decision: entries
         // whose deadline has passed (or that were cancelled) since the
@@ -441,25 +503,29 @@ impl MultiServer {
         let t = &mut self.tenants[tenant];
         t.refill_quota(now);
         let has_quota = t.spec.policy.quota.is_some();
-        // Admission-time breaker check: with the tenant's breaker open
-        // and no fallback to degrade onto, new work is shed at the door
-        // rather than queued toward a known-failing engine.
-        let shed_open = t.spec.fallback.is_none()
-            && t.breaker
-                .as_mut()
-                .is_some_and(|b| b.poll(now) == BreakerState::Open);
         let reject = if self.draining {
             Some(RejectReason::ShuttingDown)
-        } else if has_quota && t.quota_tokens < QUOTA_TOKEN {
-            Some(RejectReason::QuotaExceeded)
-        } else if shed_open {
-            Some(RejectReason::CircuitOpen)
-        } else if t.queue.len() >= t.spec.policy.queue_cap {
-            Some(RejectReason::QueueFull)
-        } else if deadline_us.is_some_and(|d| d <= now) {
-            Some(RejectReason::DeadlineExpired)
         } else {
-            None
+            // Admission-time breaker check: with the tenant's breaker
+            // open and no fallback to degrade onto, new work is shed at
+            // the door rather than queued toward a known-failing engine.
+            // It is polled only past the drain check, so a `ShuttingDown`
+            // refusal never moves the breaker.
+            let shed_open = t.spec.fallback.is_none()
+                && t.breaker
+                    .as_mut()
+                    .is_some_and(|b| b.poll(now) == BreakerState::Open);
+            if has_quota && t.quota_tokens < QUOTA_TOKEN {
+                Some(RejectReason::QuotaExceeded)
+            } else if shed_open {
+                Some(RejectReason::CircuitOpen)
+            } else if t.queue.len() >= t.spec.policy.queue_cap {
+                Some(RejectReason::QueueFull)
+            } else if deadline_us.is_some_and(|d| d <= now) {
+                Some(RejectReason::DeadlineExpired)
+            } else {
+                None
+            }
         };
         match reject {
             Some(reason) => {
@@ -502,8 +568,10 @@ impl MultiServer {
         id
     }
 
-    /// Cancels a request that is still queued in any tenant. Semantics
-    /// match [`sb_serve::Server::cancel`].
+    /// Cancels a request that is still queued in any tenant. Returns
+    /// true if it was found (it then resolves
+    /// [`RejectReason::Cancelled`]); false if it already left its queue,
+    /// in which case its original resolution stands.
     pub fn cancel(&mut self, id: u64) -> bool {
         let found = self
             .tenants
@@ -556,7 +624,10 @@ impl MultiServer {
     }
 
     /// The next virtual time at which [`MultiServer::pump`] could make
-    /// progress; see [`sb_serve::Server::next_event_us`].
+    /// progress (None when idle): the front in-flight batch's completion,
+    /// a queue head's batch timeout while the window has room, or the
+    /// earliest queued deadline. Virtual-clock drivers advance the
+    /// `SimClock` to this and pump; wall-clock drivers can ignore it.
     pub fn next_event_us(&self) -> Option<u64> {
         let mut next: Option<u64> = None;
         let mut consider = |t: u64| {
@@ -569,7 +640,7 @@ impl MultiServer {
         for t in &self.tenants {
             if let Some(head) = t.queue.front() {
                 if window_free {
-                    consider(head.submitted_us + t.spec.policy.max_wait_us);
+                    consider(head.submitted_us.saturating_add(t.spec.policy.max_wait_us));
                 }
             }
             for p in &t.queue {
@@ -587,7 +658,7 @@ impl MultiServer {
     /// # Panics
     ///
     /// Panics under a virtual clock — sim drivers must advance time
-    /// themselves (see [`drain_multi_sim`](crate::load::drain_multi_sim)).
+    /// themselves (see `sb_sched::drain_multi_sim`).
     pub fn drain_wall(&mut self) -> Vec<SchedCompletion> {
         assert!(
             !self.clock.is_virtual(),
@@ -665,7 +736,6 @@ impl MultiServer {
         }
         match result {
             Ok((preds, _)) => {
-                debug_assert_eq!(preds.len(), size, "one prediction per member");
                 for ((id, submitted_us), predicted) in batch.members.into_iter().zip(preds) {
                     self.completions.push(SchedCompletion {
                         tenant: batch.tenant,
@@ -707,7 +777,7 @@ impl MultiServer {
         for (ti, t) in self.tenants.iter_mut().enumerate() {
             if t.queue
                 .iter()
-                .all(|p| !p.cancelled && !p.deadline_us.is_some_and(|d| d <= now))
+                .all(|p| !p.cancelled && p.deadline_us.is_none_or(|d| d > now))
             {
                 continue;
             }
@@ -754,7 +824,7 @@ impl MultiServer {
     /// virtual time, then lowest index. Returns false when no tenant is
     /// eligible.
     fn pick_and_launch(&mut self, now: u64) -> bool {
-        let _pick = sb_trace::span("sched:pick");
+        let _pick = self.spans.pick.map(sb_trace::span);
         let eligible: Vec<usize> = (0..self.tenants.len())
             .filter(|&i| self.is_eligible(&self.tenants[i], now))
             .collect();
@@ -791,9 +861,10 @@ impl MultiServer {
         head_deadlines: Vec<Option<u64>>,
         now: u64,
     ) {
+        let name = &self.tenants[tenant].spec.name;
         let _tenant_span =
-            sb_trace::span_with(|| format!("sched:tenant:{}", self.tenants[tenant].spec.name));
-        let _batch_span = sb_trace::span("sched:batch");
+            (self.spans.tenant).then(|| sb_trace::span_with(|| format!("sched:tenant:{name}")));
+        let _batch_span = sb_trace::span(self.spans.batch);
         let (members, inputs) = {
             let t = &mut self.tenants[tenant];
             let take = t.queue.len().min(t.spec.policy.max_batch);
@@ -915,7 +986,7 @@ impl MultiServer {
         // factor× the service time; a transient failure pays one service
         // time per attempt plus the backoff waits between them.
         let done_us = match fault {
-            Fault::None | Fault::Panic => now + cost_us,
+            Fault::None | Fault::Panic => now.saturating_add(cost_us),
             Fault::Slow { factor } => now.saturating_add(cost_us.saturating_mul(factor as u64)),
             Fault::Transient { failing_attempts } => {
                 let attempts = (failing_attempts + 1).min(self.retry.max_attempts);
@@ -923,7 +994,9 @@ impl MultiServer {
                     .saturating_add(self.retry.backoff.total_delay_us(attempts - 1))
             }
         };
-        let mut spec = JobSpec::new().label(format!("sched-batch-{seq}"));
+        // One label for every batch job, so traces aggregate them on
+        // one path; the sequence number stays in the fault messages.
+        let mut spec = JobSpec::new().label("batch");
         if matches!(fault, Fault::Transient { .. }) && self.retry.max_attempts > 1 {
             spec = spec.retries(self.retry.max_attempts - 1);
             // Real inter-attempt sleeps only make sense on a wall
@@ -939,8 +1012,9 @@ impl MultiServer {
                 });
             }
         }
+        let exec = self.spans.exec;
         let handle = self.jobs.submit(spec, move |ctx| {
-            let _exec = sb_trace::span("sched:exec");
+            let _exec = sb_trace::span(exec);
             match fault {
                 Fault::Panic => panic!("injected engine panic (batch {seq})"),
                 Fault::Transient { failing_attempts } if ctx.attempt() <= failing_attempts => {
@@ -948,6 +1022,14 @@ impl MultiServer {
                 }
                 _ => {
                     let preds = engine.run_batch(&inputs, n);
+                    if preds.len() != n {
+                        // Checked here, so that every member resolves
+                        // as a failure and the breaker sees one.
+                        return Err(format!(
+                            "engine returned {} predictions for {n} samples (batch {seq})",
+                            preds.len()
+                        ));
+                    }
                     Ok((preds, clock.now_us()))
                 }
             }
@@ -990,7 +1072,8 @@ impl MultiServer {
 mod tests {
     use super::*;
     use crate::tenant::{TenantPolicy, TenantQuota};
-    use sb_serve::{BatchEngine, EchoEngine, ServiceModel, SimClock};
+    use crate::{EchoEngine, ServiceModel, SimClock};
+    use sb_fault::{BreakerConfig, FaultSpec};
 
     fn echo(service: ServiceModel) -> Arc<dyn BatchEngine> {
         Arc::new(EchoEngine::new(1, 10, service))
@@ -1435,6 +1518,57 @@ mod tests {
             4,
             "the stale occupants were swept as expired"
         );
+    }
+
+    /// Admission checks drain before it polls the breaker: a submit
+    /// refused as `ShuttingDown` after the cooldown must not record an
+    /// open → half-open transition.
+    #[test]
+    fn submit_refused_during_drain_never_moves_the_breaker() {
+        let clock = Arc::new(SimClock::new());
+        let tenants = vec![TenantSpec::new(
+            "t",
+            1,
+            Priority::Interactive,
+            TenantPolicy {
+                max_batch: 1,
+                max_wait_us: 0,
+                queue_cap: 8,
+                quota: None,
+            },
+            echo(ServiceModel {
+                base_us: 100,
+                per_sample_us: 10,
+            }),
+        )
+        .with_breaker(BreakerConfig {
+            window: 2,
+            min_samples: 1,
+            error_threshold_per_mille: 500,
+            open_us: 1_000,
+            probe_batches: 1,
+        })];
+        let mut ms = MultiServer::new(tenants, SchedConfig { max_inflight: 1 }, clock.clone())
+            .with_faults(FaultPlan::new(FaultSpec {
+                panic_per_mille: 1_000,
+                ..FaultSpec::none(1)
+            }));
+        ms.submit(0, vec![0.0], None);
+        clock.advance_to(ms.next_event_us().expect("batch in flight"));
+        ms.pump();
+        assert_eq!(ms.breaker_state(0), Some(BreakerState::Open));
+        ms.begin_drain();
+        clock.advance_to(10_000);
+        ms.submit(0, vec![1.0], None);
+        assert_eq!(
+            ms.take_completions().last().map(|c| &c.completion.outcome),
+            Some(&Outcome::Rejected {
+                reason: RejectReason::ShuttingDown
+            })
+        );
+        assert_eq!(ms.breaker_state(0), Some(BreakerState::Open));
+        let moves: Vec<_> = ms.take_breaker_events().iter().map(|e| e.to).collect();
+        assert_eq!(moves, vec![BreakerState::Open], "only the trip is recorded");
     }
 
     #[test]

@@ -1,7 +1,11 @@
-//! The serving core: admission control, dynamic micro-batching, and
-//! deadline/cancellation handling over a bounded request queue.
+//! The single-model server: dynamic micro-batching with admission
+//! control, deadlines, cancellation and drain over one engine.
 //!
-//! # Queueing model
+//! [`Server`] is the one-tenant case of the serving core in
+//! [`crate::sched`]: it builds a [`MultiServer`] with a single weight-1
+//! interactive tenant whose policy is the [`ServeConfig`], and every
+//! method forwards to it. The [`crate::sched`] module docs describe the
+//! queueing model, the batching policy and the failure domains.
 //!
 //! ```text
 //! submit ──▶ [bounded queue] ──▶ micro-batcher ──▶ JobQueue ──▶ pool
@@ -11,57 +15,21 @@
 //!  reject      reject              batch job → completions
 //! ```
 //!
-//! The server is **driver-pumped**: one thread (the load generator, a
-//! test, a CLI) calls [`Server::submit`] / [`Server::pump`] /
-//! [`Server::cancel`], and every queueing decision happens on that
-//! thread at a time it reads from the [`Clock`](crate::Clock). Batch
-//! *execution* is the only concurrent part — each formed batch is
-//! submitted to an `sb-runtime` [`JobQueue`] and harvested strictly in
-//! submission order. Under a virtual clock the batch's completion time
-//! comes from the engine's service model, so the entire observable
-//! outcome stream is a pure function of the submitted workload — the
-//! worker count can change *when* the arithmetic runs, never what the
-//! driver observes. That is the property the serving suite pins at
-//! `SB_RUNTIME_THREADS=1` vs `=4`.
-//!
-//! # Batching policy
-//!
-//! A batch closes when the queue holds `max_batch` requests, or when the
-//! head request has waited `max_wait_us`, or immediately during drain.
-//! At most `max_inflight` batches execute concurrently; when they are
-//! all busy the queue keeps filling until admission control sheds load
-//! with [`RejectReason::QueueFull`] — that bounded queue *is* the
-//! backpressure.
-//!
-//! # Failure domains
-//!
-//! Batch execution is the server's only failure domain, and it is
-//! contained: a batch job that panics or exhausts its retry budget
-//! resolves every member to [`RejectReason::EngineFailure`] instead of
-//! killing the driver, so the exactly-once ledger survives any engine
-//! fault. Transient errors retry per a [`RetryPolicy`], with backoff
-//! charged through the [`Clock`](crate::Clock) (deterministic under
-//! `SimClock`). An optional per-server [`CircuitBreaker`] watches
-//! primary outcomes: while open, traffic routes to a cheaper fallback
-//! engine (provenance recorded as [`ServedBy::Fallback`]) or, with no
-//! fallback, sheds fast with [`RejectReason::CircuitOpen`]; half-open
-//! probe batches test the primary and re-close the breaker. Faults
-//! themselves can be injected deterministically via
-//! [`FaultPlan`] — fault `k` hits the `k`-th primary batch, a pure
-//! function of the plan's seed, so fault runs replay byte-identically
-//! at any worker count.
+//! Two things differ from a [`MultiServer`] built with
+//! [`MultiServer::new`]. Batches run on `JobQueue::new()`: inline on the
+//! driver thread at one runtime thread, on the global pool otherwise.
+//! And the spans are `serve:admit`, `serve:batch` and `serve:exec`, with
+//! none on the pump path. The pick log, which records nothing a single
+//! tenant could lose, is discarded wherever completions are handed out.
 
 use crate::clock::Clock;
-use crate::engine::{BatchEngine, FallbackEngine};
-use sb_fault::{
-    BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker, Fault, FaultPlan, RetryPolicy,
-};
+use crate::engine::BatchEngine;
+use crate::sched::{MultiServer, SchedConfig, SpanNames};
+use crate::tenant::{Priority, TenantPolicy, TenantSpec};
+use sb_fault::{BreakerConfig, BreakerState, BreakerTransition, FaultPlan, RetryPolicy};
 use sb_json::{json_enum, json_struct, Json, ToJson};
-use sb_runtime::{Backoff, JobHandle, JobQueue, JobSpec};
-use sb_trace::CounterId;
-use std::collections::VecDeque;
+use sb_runtime::JobQueue;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Serving policy knobs.
 #[derive(Debug, Clone)]
@@ -211,72 +179,40 @@ impl Completion {
     }
 }
 
-struct Pending {
-    id: u64,
-    input: Vec<f32>,
-    deadline_us: Option<u64>,
-    submitted_us: u64,
-    cancelled: bool,
-}
-
-struct Inflight {
-    /// `(id, submitted_us)` per member, batch order.
-    members: Vec<(u64, u64)>,
-    /// Virtual completion time (service-model priced, including injected
-    /// slowdowns and retry backoff); authoritative under a virtual
-    /// clock, ignored under wall time.
-    done_us: u64,
-    /// Which engine is executing the batch.
-    served_by: ServedBy,
-    /// True for a half-open breaker probe (its outcome feeds
-    /// `record_probe`, not the normal window).
-    probe: bool,
-    handle: JobHandle<(Vec<usize>, u64)>,
-}
+const SERVE_SPANS: SpanNames = SpanNames {
+    admit: "serve:admit",
+    pick: None,
+    tenant: false,
+    batch: "serve:batch",
+    exec: "serve:exec",
+};
 
 /// The dynamic-batching server. See the module docs for the model.
 pub struct Server<E: BatchEngine + 'static> {
     engine: Arc<E>,
-    cfg: ServeConfig,
-    clock: Arc<dyn Clock>,
-    jobs: JobQueue,
-    queue: VecDeque<Pending>,
-    inflight: VecDeque<Inflight>,
-    completions: Vec<Completion>,
-    next_id: u64,
-    next_batch: u64,
-    draining: bool,
-    faults: Option<FaultPlan>,
-    retry: RetryPolicy,
-    breaker: Option<CircuitBreaker>,
-    fallback: Option<FallbackEngine>,
-    /// Primary batches launched so far; index into the fault plan.
-    primary_batches: u64,
+    core: MultiServer,
 }
 
 impl<E: BatchEngine + 'static> Server<E> {
     /// A server over `engine` with the given policy and time source.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_batch`, `queue_cap` or `max_inflight` is zero.
     pub fn new(engine: E, cfg: ServeConfig, clock: Arc<dyn Clock>) -> Self {
-        assert!(cfg.max_batch > 0, "max_batch must be positive");
-        assert!(cfg.queue_cap > 0, "queue_cap must be positive");
-        assert!(cfg.max_inflight > 0, "max_inflight must be positive");
-        Server {
-            engine: Arc::new(engine),
-            cfg,
-            clock,
-            jobs: JobQueue::new(),
-            queue: VecDeque::new(),
-            inflight: VecDeque::new(),
-            completions: Vec::new(),
-            next_id: 0,
-            next_batch: 0,
-            draining: false,
-            faults: None,
-            retry: RetryPolicy::none(),
-            breaker: None,
-            fallback: None,
-            primary_batches: 0,
-        }
+        let engine = Arc::new(engine);
+        let policy = TenantPolicy {
+            max_batch: cfg.max_batch,
+            max_wait_us: cfg.max_wait_us,
+            queue_cap: cfg.queue_cap,
+            quota: None,
+        };
+        let tenant = TenantSpec::new("serve", 1, Priority::Interactive, policy, engine.clone());
+        let sched = SchedConfig {
+            max_inflight: cfg.max_inflight,
+        };
+        let core = MultiServer::build(vec![tenant], sched, clock, JobQueue::new(), &SERVE_SPANS);
+        Server { engine, core }
     }
 
     /// Injects deterministic faults into primary batch execution: fault
@@ -284,7 +220,7 @@ impl<E: BatchEngine + 'static> Server<E> {
     /// run is a pure function of the plan's seed and the workload.
     /// Fallback batches are never faulted.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = Some(faults);
+        self.core = self.core.with_faults(faults);
         self
     }
 
@@ -293,15 +229,14 @@ impl<E: BatchEngine + 'static> Server<E> {
     /// retries are deterministic under `SimClock`; under a wall clock
     /// the pool worker really sleeps.
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        assert!(retry.max_attempts >= 1, "retry needs at least one attempt");
-        self.retry = retry;
+        self.core = self.core.with_retry(retry);
         self
     }
 
     /// Arms a circuit breaker over primary batch outcomes (see the
-    /// module docs' failure-domain section for the state machine).
+    /// [`crate::sched`] failure-domain docs for the state machine).
     pub fn with_breaker(mut self, cfg: BreakerConfig) -> Self {
-        self.breaker = Some(CircuitBreaker::new(cfg));
+        self.core.respec(0, |t| t.breaker = Some(cfg));
         self
     }
 
@@ -314,8 +249,7 @@ impl<E: BatchEngine + 'static> Server<E> {
     /// Panics if the fallback's sample length or class count differs
     /// from the primary's.
     pub fn with_fallback(mut self, fallback: impl BatchEngine + 'static) -> Self {
-        let primary: Arc<dyn BatchEngine> = self.engine.clone();
-        self.fallback = Some(FallbackEngine::new(primary, Arc::new(fallback)));
+        self.core.respec(0, |t| t.set_fallback(Arc::new(fallback)));
         self
     }
 
@@ -326,15 +260,19 @@ impl<E: BatchEngine + 'static> Server<E> {
 
     /// The breaker's current state; `None` when no breaker is armed.
     pub fn breaker_state(&self) -> Option<BreakerState> {
-        self.breaker.as_ref().map(|b| b.state())
+        self.core.breaker_state(0)
     }
 
     /// Drains recorded breaker state transitions, in occurrence order.
     pub fn take_breaker_events(&mut self) -> Vec<BreakerTransition> {
-        self.breaker
-            .as_mut()
-            .map(|b| b.take_transitions())
-            .unwrap_or_default()
+        let events = self.core.take_breaker_events().into_iter();
+        events
+            .map(|e| BreakerTransition {
+                at_us: e.at_us,
+                from: e.from,
+                to: e.to,
+            })
+            .collect()
     }
 
     /// Admits (or rejects) one single-sample request. Returns its id;
@@ -346,55 +284,7 @@ impl<E: BatchEngine + 'static> Server<E> {
     ///
     /// Panics if `input` is not exactly one engine sample long.
     pub fn submit(&mut self, input: Vec<f32>, deadline_us: Option<u64>) -> u64 {
-        assert_eq!(
-            input.len(),
-            self.engine.sample_len(),
-            "request sample length"
-        );
-        let _admit = sb_trace::span("serve:admit");
-        let now = self.clock.now_us();
-        // Sweep dead occupants *before* the admission decision: entries
-        // whose deadline has passed (or that were cancelled) since the
-        // last pump are not load, and counting them against `queue_cap`
-        // would shed a live request while every occupant of the "full"
-        // queue is already dead.
-        self.expire(now);
-        let id = self.next_id;
-        self.next_id += 1;
-        let reject = if self.draining {
-            Some(RejectReason::ShuttingDown)
-        } else if self.shed_while_open(now) {
-            Some(RejectReason::CircuitOpen)
-        } else if self.queue.len() >= self.cfg.queue_cap {
-            Some(RejectReason::QueueFull)
-        } else if deadline_us.is_some_and(|d| d <= now) {
-            Some(RejectReason::DeadlineExpired)
-        } else {
-            None
-        };
-        match reject {
-            Some(reason) => {
-                sb_trace::add(CounterId::RequestsRejected, 1);
-                self.completions.push(Completion {
-                    id,
-                    submitted_us: now,
-                    done_us: now,
-                    outcome: Outcome::Rejected { reason },
-                });
-            }
-            None => {
-                sb_trace::add(CounterId::RequestsAdmitted, 1);
-                self.queue.push_back(Pending {
-                    id,
-                    input,
-                    deadline_us,
-                    submitted_us: now,
-                    cancelled: false,
-                });
-            }
-        }
-        self.advance();
-        id
+        self.core.submit(0, input, deadline_us)
     }
 
     /// Cancels a request that is still queued. Returns true if the
@@ -403,12 +293,7 @@ impl<E: BatchEngine + 'static> Server<E> {
     /// — started executing, or already resolved — in which case its
     /// original resolution stands.
     pub fn cancel(&mut self, id: u64) -> bool {
-        let Some(p) = self.queue.iter_mut().find(|p| p.id == id) else {
-            return false;
-        };
-        p.cancelled = true;
-        self.advance();
-        true
+        self.core.cancel(id)
     }
 
     /// Drives the server one step at the current clock time: harvests
@@ -416,35 +301,36 @@ impl<E: BatchEngine + 'static> Server<E> {
     /// batches. Call after advancing a virtual clock; under wall time,
     /// call in the driver loop.
     pub fn pump(&mut self) {
-        self.advance();
+        self.core.pump();
     }
 
     /// Stops admitting new work and flushes everything queued into
     /// batches as capacity frees up. Subsequent [`Server::submit`] calls
     /// resolve [`RejectReason::ShuttingDown`].
     pub fn begin_drain(&mut self) {
-        self.draining = true;
-        self.advance();
+        self.core.begin_drain();
     }
 
     /// True when nothing is queued or executing.
     pub fn is_idle(&self) -> bool {
-        self.queue.is_empty() && self.inflight.is_empty()
+        self.core.is_idle()
     }
 
     /// Requests waiting in the admission queue.
     pub fn queue_len(&self) -> usize {
-        self.queue.len()
+        self.core.queue_len(0)
     }
 
     /// Batches currently executing.
     pub fn inflight_batches(&self) -> usize {
-        self.inflight.len()
+        self.core.inflight_batches()
     }
 
     /// Drains accumulated resolutions, in resolution order.
     pub fn take_completions(&mut self) -> Vec<Completion> {
-        std::mem::take(&mut self.completions)
+        self.core.take_picks();
+        let done = self.core.take_completions().into_iter();
+        done.map(|c| c.completion).collect()
     }
 
     /// The next virtual time at which [`Server::pump`] could make
@@ -453,25 +339,7 @@ impl<E: BatchEngine + 'static> Server<E> {
     /// earliest queued deadline. Virtual-clock drivers advance the
     /// `SimClock` to this and pump; wall-clock drivers can ignore it.
     pub fn next_event_us(&self) -> Option<u64> {
-        let mut next: Option<u64> = None;
-        let mut consider = |t: u64| {
-            next = Some(next.map_or(t, |n| n.min(t)));
-        };
-        if let Some(front) = self.inflight.front() {
-            consider(front.done_us);
-        }
-        if !self.queue.is_empty() && self.inflight.len() < self.cfg.max_inflight {
-            // The head request's batch timeout. (A full batch or a drain
-            // launches inside `advance` immediately, so no event needed.)
-            let head = &self.queue[0];
-            consider(head.submitted_us + self.cfg.max_wait_us);
-        }
-        for p in &self.queue {
-            if let Some(d) = p.deadline_us {
-                consider(d);
-            }
-        }
-        next
+        self.core.next_event_us()
     }
 
     /// Drains and blocks until idle, returning every accumulated
@@ -483,313 +351,9 @@ impl<E: BatchEngine + 'static> Server<E> {
     ///
     /// Panics under a virtual clock.
     pub fn drain_wall(&mut self) -> Vec<Completion> {
-        assert!(
-            !self.clock.is_virtual(),
-            "drain_wall requires a wall clock; drive virtual servers to idle explicitly"
-        );
-        self.begin_drain();
-        while !self.is_idle() {
-            // Launch whatever fits, then block on the front batch: drain
-            // makes progress without spinning.
-            self.advance();
-            if let Some(batch) = self.inflight.pop_front() {
-                self.harvest_one(batch);
-            }
-        }
-        self.take_completions()
-    }
-
-    // --- internals ----------------------------------------------------
-
-    /// One full scheduling step at the current clock time.
-    fn advance(&mut self) {
-        let now = self.clock.now_us();
-        self.harvest(now);
-        self.expire(now);
-        while self.can_form(now) {
-            self.launch(now);
-            self.harvest(now); // inline jobs (1 thread) finish instantly
-        }
-    }
-
-    /// Resolves finished batches, strictly in launch order.
-    fn harvest(&mut self, now: u64) {
-        loop {
-            let done = match self.inflight.front() {
-                None => break,
-                Some(front) => {
-                    if self.clock.is_virtual() {
-                        front.done_us <= now
-                    } else {
-                        front.handle.is_finished()
-                    }
-                }
-            };
-            if !done {
-                break;
-            }
-            let batch = self.inflight.pop_front().expect("front exists");
-            self.harvest_one(batch);
-        }
-    }
-
-    /// Resolves one finished batch. The batch job is the panic
-    /// containment boundary: the `JobQueue` catches panics and surfaces
-    /// them as errors here, and a failed batch resolves every member to
-    /// [`RejectReason::EngineFailure`] — the driver thread and the
-    /// exactly-once ledger survive any engine fault.
-    fn harvest_one(&mut self, batch: Inflight) {
-        let virtual_done = batch.done_us;
-        let size = batch.members.len();
-        let result = batch.handle.join();
-        let done_us = match &result {
-            _ if self.clock.is_virtual() => virtual_done,
-            Ok((_, finished_us)) => *finished_us,
-            Err(_) => self.clock.now_us(),
-        };
-        // Only primary outcomes feed the breaker: the fallback serving
-        // well says nothing about whether the primary has recovered.
-        if batch.served_by == ServedBy::Primary {
-            if let Some(b) = self.breaker.as_mut() {
-                if batch.probe {
-                    b.record_probe(done_us, result.is_ok());
-                } else {
-                    b.record(done_us, result.is_ok());
-                }
-            }
-        }
-        match result {
-            Ok((preds, _)) => {
-                debug_assert_eq!(preds.len(), size, "one prediction per member");
-                for ((id, submitted_us), predicted) in batch.members.into_iter().zip(preds) {
-                    self.completions.push(Completion {
-                        id,
-                        submitted_us,
-                        done_us,
-                        outcome: Outcome::Completed {
-                            predicted,
-                            batch_size: size,
-                            served_by: batch.served_by,
-                        },
-                    });
-                }
-            }
-            Err(_) => {
-                sb_trace::add(CounterId::RequestsRejected, size as u64);
-                for (id, submitted_us) in batch.members {
-                    self.completions.push(Completion {
-                        id,
-                        submitted_us,
-                        done_us,
-                        outcome: Outcome::Rejected {
-                            reason: RejectReason::EngineFailure,
-                        },
-                    });
-                }
-            }
-        }
-    }
-
-    /// Dequeue-time policy: drops cancelled and deadline-expired
-    /// requests from anywhere in the queue.
-    fn expire(&mut self, now: u64) {
-        let mut kept = VecDeque::with_capacity(self.queue.len());
-        for p in self.queue.drain(..) {
-            let reason = if p.cancelled {
-                Some(RejectReason::Cancelled)
-            } else if p.deadline_us.is_some_and(|d| d <= now) {
-                Some(RejectReason::DeadlineExpired)
-            } else {
-                None
-            };
-            match reason {
-                None => kept.push_back(p),
-                Some(reason) => {
-                    sb_trace::add(CounterId::RequestsRejected, 1);
-                    self.completions.push(Completion {
-                        id: p.id,
-                        submitted_us: p.submitted_us,
-                        done_us: now,
-                        outcome: Outcome::Rejected { reason },
-                    });
-                }
-            }
-        }
-        self.queue = kept;
-    }
-
-    fn can_form(&self, now: u64) -> bool {
-        if self.queue.is_empty() || self.inflight.len() >= self.cfg.max_inflight {
-            return false;
-        }
-        self.draining
-            || self.queue.len() >= self.cfg.max_batch
-            || now.saturating_sub(self.queue[0].submitted_us) >= self.cfg.max_wait_us
-    }
-
-    /// Closes one batch off the queue head and submits it to the pool.
-    fn launch(&mut self, now: u64) {
-        let _batch_span = sb_trace::span("serve:batch");
-        let take = self.queue.len().min(self.cfg.max_batch);
-        let mut members = Vec::with_capacity(take);
-        let mut inputs = Vec::with_capacity(take * self.engine.sample_len());
-        for _ in 0..take {
-            let p = self.queue.pop_front().expect("len checked");
-            // Execution-time deadline re-check: a request can expire
-            // between the dequeue-time sweep and batch formation (e.g.
-            // it queued behind a full in-flight window).
-            let reason = if p.cancelled {
-                Some(RejectReason::Cancelled)
-            } else if p.deadline_us.is_some_and(|d| d <= now) {
-                Some(RejectReason::DeadlineExpired)
-            } else {
-                None
-            };
-            if let Some(reason) = reason {
-                sb_trace::add(CounterId::RequestsRejected, 1);
-                self.completions.push(Completion {
-                    id: p.id,
-                    submitted_us: p.submitted_us,
-                    done_us: now,
-                    outcome: Outcome::Rejected { reason },
-                });
-                continue;
-            }
-            members.push((p.id, p.submitted_us));
-            inputs.extend_from_slice(&p.input);
-        }
-        if members.is_empty() {
-            return;
-        }
-
-        // Route through the breaker: closed → primary, open → fallback
-        // (or shed), half-open → a bounded number of primary probes with
-        // the rest on the fallback path.
-        let state = match self.breaker.as_mut() {
-            Some(b) => b.poll(now),
-            None => BreakerState::Closed,
-        };
-        let (served_by, probe) = match state {
-            BreakerState::Closed => (ServedBy::Primary, false),
-            BreakerState::HalfOpen => {
-                if self.breaker.as_mut().expect("state implies breaker").try_probe() {
-                    (ServedBy::Primary, true)
-                } else if self.fallback.is_some() {
-                    (ServedBy::Fallback, false)
-                } else {
-                    self.shed_members(members, now, RejectReason::CircuitOpen);
-                    return;
-                }
-            }
-            BreakerState::Open => {
-                if self.fallback.is_some() {
-                    (ServedBy::Fallback, false)
-                } else {
-                    self.shed_members(members, now, RejectReason::CircuitOpen);
-                    return;
-                }
-            }
-        };
-        let engine: Arc<dyn BatchEngine> = match served_by {
-            ServedBy::Primary => self.engine.clone(),
-            ServedBy::Fallback => Arc::clone(
-                self.fallback
-                    .as_ref()
-                    .expect("fallback routing checked")
-                    .fallback(),
-            ),
-        };
-        // Faults hit primary batches only, keyed by launch index.
-        let fault = match served_by {
-            ServedBy::Primary => {
-                let idx = self.primary_batches;
-                self.primary_batches += 1;
-                self.faults
-                    .map_or(Fault::None, |plan| plan.fault_for(0, idx))
-            }
-            ServedBy::Fallback => Fault::None,
-        };
-
-        let n = members.len();
-        sb_trace::add(CounterId::BatchesExecuted, 1);
-        sb_trace::add(CounterId::BatchOccupancy, n as u64);
-        let clock = Arc::clone(&self.clock);
-        let seq = self.next_batch;
-        self.next_batch += 1;
-        let service_us = engine.service_us(n);
-        // Virtual completion prices the fault in: a slow batch takes
-        // factor× the service time; a transient failure pays one service
-        // time per attempt plus the backoff waits between them.
-        let done_us = match fault {
-            Fault::None | Fault::Panic => now + service_us,
-            Fault::Slow { factor } => {
-                now.saturating_add(service_us.saturating_mul(factor as u64))
-            }
-            Fault::Transient { failing_attempts } => {
-                let attempts = (failing_attempts + 1).min(self.retry.max_attempts);
-                now.saturating_add(service_us.saturating_mul(attempts as u64))
-                    .saturating_add(self.retry.backoff.total_delay_us(attempts - 1))
-            }
-        };
-        let mut spec = JobSpec::new().label(format!("batch-{seq}"));
-        if matches!(fault, Fault::Transient { .. }) && self.retry.max_attempts > 1 {
-            spec = spec.retries(self.retry.max_attempts - 1);
-            // Real inter-attempt sleeps only make sense on a wall
-            // clock; under a virtual clock the backoff is already
-            // charged into `done_us` and sleeping would just stall the
-            // pool worker at wall speed.
-            if !self.clock.is_virtual() {
-                let b = self.retry.backoff;
-                spec = spec.backoff(Backoff {
-                    base: Duration::from_micros(b.base_us),
-                    multiplier: b.multiplier,
-                    max_delay: Duration::from_micros(b.max_delay_us),
-                });
-            }
-        }
-        let handle = self.jobs.submit(spec, move |ctx| {
-            let _exec = sb_trace::span("serve:exec");
-            match fault {
-                Fault::Panic => panic!("injected engine panic (batch {seq})"),
-                Fault::Transient { failing_attempts } if ctx.attempt() <= failing_attempts => {
-                    Err(format!("injected transient engine fault (batch {seq})"))
-                }
-                _ => {
-                    let preds = engine.run_batch(&inputs, n);
-                    Ok((preds, clock.now_us()))
-                }
-            }
-        });
-        self.inflight.push_back(Inflight {
-            members,
-            done_us,
-            served_by,
-            probe,
-            handle,
-        });
-    }
-
-    /// True when the breaker is open and no fallback exists to serve
-    /// degraded traffic: new work is shed at admission rather than
-    /// queued toward a known-failing engine.
-    fn shed_while_open(&mut self, now: u64) -> bool {
-        match (self.breaker.as_mut(), self.fallback.is_some()) {
-            (Some(b), false) => b.poll(now) == BreakerState::Open,
-            _ => false,
-        }
-    }
-
-    /// Resolves a formed-but-unlaunchable batch's members.
-    fn shed_members(&mut self, members: Vec<(u64, u64)>, now: u64, reason: RejectReason) {
-        sb_trace::add(CounterId::RequestsRejected, members.len() as u64);
-        for (id, submitted_us) in members {
-            self.completions.push(Completion {
-                id,
-                submitted_us,
-                done_us: now,
-                outcome: Outcome::Rejected { reason },
-            });
-        }
+        let done = self.core.drain_wall().into_iter();
+        self.core.take_picks();
+        done.map(|c| c.completion).collect()
     }
 }
 
@@ -973,6 +537,104 @@ mod tests {
         s.pump();
         assert_eq!(s.take_completions().len(), 1);
         assert!(s.is_idle());
+    }
+
+    /// An engine that answers only the first half of each batch.
+    struct ShortEngine;
+
+    impl BatchEngine for ShortEngine {
+        fn sample_len(&self) -> usize {
+            1
+        }
+
+        fn classes(&self) -> usize {
+            10
+        }
+
+        fn run_batch(&self, _inputs: &[f32], n: usize) -> Vec<usize> {
+            vec![0; n / 2]
+        }
+
+        fn service_us(&self, _n: usize) -> u64 {
+            100
+        }
+    }
+
+    /// A batch whose engine returns fewer predictions than members fails
+    /// as a whole: every member resolves, none is dropped by a short zip.
+    #[test]
+    fn short_prediction_vector_fails_every_member_and_the_breaker() {
+        let clock = Arc::new(SimClock::new());
+        let cfg = ServeConfig {
+            max_batch: 4,
+            max_wait_us: 1_000,
+            queue_cap: 8,
+            max_inflight: 1,
+        };
+        let mut s = Server::new(ShortEngine, cfg, clock.clone()).with_breaker(BreakerConfig {
+            window: 4,
+            min_samples: 1,
+            error_threshold_per_mille: 500,
+            open_us: 10_000,
+            probe_batches: 1,
+        });
+        for i in 0..4 {
+            s.submit(vec![i as f32], None);
+        }
+        clock.advance_to(s.next_event_us().expect("batch in flight"));
+        s.pump();
+        let done = s.take_completions();
+        assert_eq!(done.len(), 4, "every member resolves");
+        for c in &done {
+            assert_eq!(
+                c.outcome,
+                Outcome::Rejected {
+                    reason: RejectReason::EngineFailure
+                }
+            );
+        }
+        assert_eq!(s.breaker_state(), Some(BreakerState::Open));
+    }
+
+    /// `max_wait_us` and a service price of `u64::MAX` mean "never"; the
+    /// sums saturate instead of wrapping into the past.
+    #[test]
+    fn unbounded_wait_and_service_times_saturate() {
+        let (mut s, clock) = echo_server(ServeConfig {
+            max_batch: 2,
+            max_wait_us: u64::MAX,
+            queue_cap: 8,
+            max_inflight: 1,
+        });
+        clock.advance_to(5);
+        s.submit(vec![1.0], None);
+        assert_eq!(s.next_event_us(), Some(u64::MAX), "head never times out");
+        let engine = EchoEngine::new(
+            1,
+            10,
+            ServiceModel {
+                base_us: u64::MAX,
+                per_sample_us: 0,
+            },
+        );
+        let mut slow = Server::new(
+            engine,
+            ServeConfig {
+                max_batch: 1,
+                max_wait_us: 0,
+                queue_cap: 8,
+                max_inflight: 1,
+            },
+            clock.clone(),
+        );
+        slow.submit(vec![2.0], None);
+        assert_eq!(slow.next_event_us(), Some(u64::MAX), "done at time's end");
+        clock.advance_to(u64::MAX);
+        slow.pump();
+        let done = slow.take_completions();
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].done_us, u64::MAX);
+        assert!(done[0].is_completed());
     }
 
     #[test]

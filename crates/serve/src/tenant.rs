@@ -1,9 +1,9 @@
 //! Tenant description: who is served, at what priority, with what
 //! batching policy, and how much of the pool it is entitled to.
 
+use crate::engine::BatchEngine;
 use sb_fault::BreakerConfig;
 use sb_json::{json_enum, json_struct};
-use sb_serve::BatchEngine;
 use std::sync::Arc;
 
 /// Strict priority class, checked at every dequeue.
@@ -46,12 +46,12 @@ impl Priority {
 ///
 /// The bucket holds up to `burst` tokens and refills continuously at
 /// `rate_per_s` tokens per second, read off the scheduler's
-/// [`Clock`](sb_serve::Clock) — under a
-/// [`SimClock`](sb_serve::SimClock) the refill is a pure function of
+/// [`Clock`](crate::Clock) — under a
+/// [`SimClock`](crate::SimClock) the refill is a pure function of
 /// virtual time, so quota decisions stay bit-deterministic. Each
 /// admitted request spends one token; a submit that finds the bucket
 /// empty is shed with
-/// [`RejectReason::QuotaExceeded`](sb_serve::RejectReason::QuotaExceeded)
+/// [`RejectReason::QuotaExceeded`](crate::RejectReason::QuotaExceeded)
 /// *before* the queue cap is consulted, so one tenant's burst cannot
 /// consume the shared window faster than its provisioned rate no matter
 /// how deep its queue is allowed to grow.
@@ -71,8 +71,8 @@ pub struct TenantQuota {
 json_struct!(TenantQuota { rate_per_s, burst });
 
 /// Per-tenant batching policy — the same knobs as
-/// [`sb_serve::ServeConfig`] minus the inflight window, which the
-/// multi-model scheduler owns globally, plus the admission quota.
+/// [`ServeConfig`](crate::ServeConfig) minus the inflight window, which
+/// the scheduler owns globally, plus the admission quota.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TenantPolicy {
     /// Largest batch coalesced for this tenant.
@@ -108,6 +108,7 @@ impl Default for TenantPolicy {
 
 /// One tenant of the multi-model scheduler: a named engine with a WFQ
 /// weight, a priority class, and its own batching policy.
+#[derive(Clone)]
 pub struct TenantSpec {
     /// Display/trace name (`sched:tenant:{name}` spans).
     pub name: String,
@@ -127,7 +128,7 @@ pub struct TenantSpec {
     /// Degraded-mode engine (typically a heavily pruned variant of
     /// `engine`) serving this tenant while its circuit breaker is open.
     /// `None` means the tenant sheds with
-    /// [`RejectReason::CircuitOpen`](sb_serve::RejectReason::CircuitOpen)
+    /// [`RejectReason::CircuitOpen`](crate::RejectReason::CircuitOpen)
     /// instead of degrading.
     pub fallback: Option<Arc<dyn BatchEngine>>,
     /// Circuit-breaker thresholds guarding this tenant's primary engine;
@@ -165,6 +166,12 @@ impl TenantSpec {
     /// Panics if `fallback`'s `sample_len` or `classes` differ from the
     /// primary engine's.
     pub fn with_fallback(mut self, fallback: Arc<dyn BatchEngine>) -> Self {
+        self.set_fallback(fallback);
+        self
+    }
+
+    /// [`TenantSpec::with_fallback`] in place.
+    pub(crate) fn set_fallback(&mut self, fallback: Arc<dyn BatchEngine>) {
         assert_eq!(
             fallback.sample_len(),
             self.engine.sample_len(),
@@ -176,7 +183,6 @@ impl TenantSpec {
             "fallback engine must emit the primary's class count"
         );
         self.fallback = Some(fallback);
-        self
     }
 
     /// Attaches a circuit breaker with the given thresholds.

@@ -21,32 +21,32 @@ fn temp_paths(tag: &str) -> (OutputPaths, std::path::PathBuf) {
 #[test]
 fn meta_analysis_artifacts_render_and_persist() {
     let (paths, root) = temp_paths("meta");
-    let t1 = table1(&paths);
+    let t1 = table1(&paths).expect("figures written");
     for &(dataset, arch, count) in TABLE1_PAIRS {
         assert!(t1.contains(dataset) && t1.contains(arch), "{dataset}/{arch} missing");
         assert!(t1.contains(&count.to_string()));
     }
     assert!(t1.contains("81 papers, 49 datasets, 132 architectures, 195 combinations"));
 
-    let f1 = fig1(&paths);
+    let f1 = fig1(&paths).expect("figures written");
     assert!(f1.contains("EfficientNet"));
     assert!(f1.contains("VGG Pruned"));
 
-    let f2 = fig2(&paths);
+    let f2 = fig2(&paths).expect("figures written");
     assert!(f2.contains("in-degree"));
     assert!(f2.contains("never compared to"));
 
-    let f3 = fig3(&paths);
+    let f3 = fig3(&paths).expect("figures written");
     assert!(f3.contains("VGG-16") && f3.contains("ResNet-56"));
     assert!(f3.contains(&format!(
         "{} of the 81 papers",
         published::FIGURE3_PAPERS
     )));
 
-    let f4 = fig4(&paths);
+    let f4 = fig4(&paths).expect("figures written");
     assert!(f4.contains("pairs"));
 
-    let f5 = fig5(&paths);
+    let f5 = fig5(&paths).expect("figures written");
     assert!(f5.contains("magnitude"));
 
     // Artifacts persisted as .txt and .csv.
@@ -60,7 +60,7 @@ fn meta_analysis_artifacts_render_and_persist() {
 #[test]
 fn csv_artifacts_are_parseable_tables() {
     let (paths, root) = temp_paths("csv");
-    table1(&paths);
+    table1(&paths).expect("figures written");
     let csv = std::fs::read_to_string(paths.figures.join("table1.csv")).unwrap();
     let mut lines = csv.lines();
     let header = lines.next().unwrap();
@@ -139,12 +139,12 @@ fn report_table_round_trips_through_csv() {
 fn extension_artifacts_render_without_training() {
     use sb_bench::figures::{hygiene, metrics_ambiguity, sparsity_profile};
     let (paths, root) = temp_paths("ext");
-    let h = hygiene(&paths);
+    let h = hygiene(&paths).expect("figures written");
     assert!(h.contains("1 report any measure of central tendency"));
-    let m = metrics_ambiguity(&paths);
+    let m = metrics_ambiguity(&paths).expect("figures written");
     assert!(m.contains("RatioOriginalOverCompressed"));
     assert!(m.contains("spread"));
-    let s = sparsity_profile(&paths);
+    let s = sparsity_profile(&paths).expect("figures written");
     assert!(s.contains("stage1.conv1.weight"));
     assert!(s.contains("Layerwise"));
     for name in ["hygiene", "metrics-ambiguity", "sparsity-profile"] {
