@@ -3,7 +3,7 @@
 
 use sb_bench::timer::{BatchSize, Timer};
 use sb_nn::{models, Layer, Mode, Network};
-use sb_tensor::{im2col, Conv2dGeometry, PackedRhs, Rng, Tensor};
+use sb_tensor::{col2im, im2col, im2col_into, Conv2dGeometry, PackedRhs, Rng, Tensor};
 
 fn bench_matmul(c: &mut Timer) {
     let mut group = c.benchmark_group("matmul");
@@ -120,22 +120,87 @@ fn bench_infer_dense_block(c: &mut Timer) {
     }
 }
 
-fn bench_im2col(c: &mut Timer) {
-    let geom = Conv2dGeometry {
-        in_channels: 8,
-        in_h: 16,
-        in_w: 16,
-        kernel_h: 3,
-        kernel_w: 3,
-        stride: 1,
-        padding_h: 1,
-        padding_w: 1,
+/// `(name, channels, side, kernel, stride, padding)` of a square conv.
+type ConvShape = (&'static str, usize, usize, usize, usize, usize);
+
+/// The distinct conv geometries of the end-to-end benchmark. LeNet-5 (1×16×16
+/// input) and ResNet-20 (width 4, 3×16×16 input) are the `infer`
+/// workload's conv models; ResNet-8, the `grid` workload's, has the
+/// ResNet geometries too, with one block per stage.
+const CONV_GEOMETRIES: &[ConvShape] = &[
+    ("lenet5.conv1", 1, 16, 5, 1, 2),
+    ("lenet5.conv2", 6, 8, 5, 1, 2),
+    ("resnet.stem", 3, 16, 3, 1, 1),
+    ("resnet.stage1", 4, 16, 3, 1, 1),
+    ("resnet.stage2.down", 4, 16, 3, 2, 1),
+    ("resnet.stage2.shortcut", 4, 16, 1, 2, 0),
+    ("resnet.stage2", 8, 8, 3, 1, 1),
+    ("resnet.stage3.down", 8, 8, 3, 2, 1),
+    ("resnet.stage3.shortcut", 8, 8, 1, 2, 0),
+    ("resnet.stage3", 16, 4, 3, 1, 1),
+];
+
+/// The convolution lowering on those geometries: `im2col_into` on
+/// sb-infer's 8-sample batch blocks, then `im2col` and `col2im` on the
+/// ResNet geometries at the grid's batch of 64, and on an 8-channel
+/// 16×16 batch of 8. Prints ns per patch element (`n·out_h·out_w·C·kh·kw`
+/// values written or added); run it at `SB_RUNTIME_THREADS=1`, since
+/// `im2col` and `col2im` fan out over sample blocks and `im2col_into`
+/// never does.
+fn bench_conv_lowering(c: &mut Timer) {
+    const GROUP: &str = "conv-lowering";
+    let geom = |&(_, ch, side, k, s, p): &ConvShape| {
+        Conv2dGeometry::square(ch, side, side, k, s, p)
     };
-    let mut rng = Rng::seed_from(1);
-    let x = Tensor::rand_normal(&[8, 8, 16, 16], 0.0, 1.0, &mut rng);
-    c.bench_function("im2col-8x8x16x16-k3", |bench| {
-        bench.iter(|| std::hint::black_box(im2col(&x, &geom)))
-    });
+    let block: Vec<_> = CONV_GEOMETRIES.iter().map(|g| (g.0, 8, geom(g))).collect();
+    let resnet = CONV_GEOMETRIES.iter().filter(|g| g.0.starts_with("resnet"));
+    let mut grid: Vec<_> = resnet.map(|g| (g.0, 64, geom(g))).collect();
+    grid.push(("conv.8x16x16", 8, Conv2dGeometry::square(8, 16, 16, 3, 1, 1)));
+    let mut group = c.benchmark_group(GROUP);
+    for &(name, n, geom) in &block {
+        let x = input(n, &geom);
+        let mut out = vec![0.0f32; patch_elements(n, &geom)];
+        group.bench_function(format!("{name}-b{n}-im2col-into"), |bench| {
+            bench.iter(|| {
+                im2col_into(x.data(), &geom, &mut out);
+                std::hint::black_box(&out);
+            })
+        });
+    }
+    for &(name, n, geom) in &grid {
+        let x = input(n, &geom);
+        let cols = im2col(&x, &geom);
+        group.bench_function(format!("{name}-b{n}-im2col"), |bench| {
+            bench.iter(|| std::hint::black_box(im2col(&x, &geom)))
+        });
+        group.bench_function(format!("{name}-b{n}-col2im"), |bench| {
+            bench.iter(|| std::hint::black_box(col2im(&cols, n, &geom)))
+        });
+    }
+    group.finish();
+    let timed = &c.results()[c.results().len() - block.len() - 2 * grid.len()..];
+    let (unfolds, folds) = timed.split_at(block.len());
+    eprintln!("\n{GROUP}: ns per patch element");
+    for (&(name, n, geom), t) in block.iter().zip(unfolds) {
+        let ns = t.ns_per_iter / patch_elements(n, &geom) as f64;
+        eprintln!("  {name:<24} b{n:<3} im2col_into {ns:>6.3}");
+    }
+    for (&(name, n, geom), t) in grid.iter().zip(folds.chunks_exact(2)) {
+        let elements = patch_elements(n, &geom) as f64;
+        let (unfold, fold) = (t[0].ns_per_iter / elements, t[1].ns_per_iter / elements);
+        eprintln!("  {name:<24} b{n:<3} im2col {unfold:>6.3}  col2im {fold:>6.3}");
+    }
+}
+
+/// The values in the patch matrix of `n` samples of `geom`.
+fn patch_elements(n: usize, geom: &Conv2dGeometry) -> usize {
+    n * geom.out_h() * geom.out_w() * geom.patch_len()
+}
+
+/// A seeded `[n, C, H, W]` input for `geom`.
+fn input(n: usize, geom: &Conv2dGeometry) -> Tensor {
+    let dims = [n, geom.in_channels, geom.in_h, geom.in_w];
+    Tensor::rand_normal(&dims, 0.0, 1.0, &mut Rng::seed_from(1))
 }
 
 fn bench_conv_forward_backward(c: &mut Timer) {
@@ -189,7 +254,7 @@ fn main() {
     bench_matmul(&mut timer);
     bench_layer_shapes(&mut timer);
     bench_infer_dense_block(&mut timer);
-    bench_im2col(&mut timer);
+    bench_conv_lowering(&mut timer);
     bench_conv_forward_backward(&mut timer);
     bench_model_forward(&mut timer);
     timer.finish();

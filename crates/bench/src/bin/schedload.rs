@@ -428,16 +428,17 @@ fn smoke(quota: bool) {
     println!("sched smoke OK");
 }
 
+/// The outcome counts a [`smoke`] run asserts.
+type SmokeSignature = (usize, usize, usize, usize, usize, u64, u64, u64);
+
 /// The exact outcome of the pinned [`smoke`] workload.
-const SMOKE_SIGNATURE: (usize, usize, usize, usize, usize, u64, u64, u64) =
+const SMOKE_SIGNATURE: SmokeSignature =
     (2368, 1580, 604, 184, 0, 149_032, 718, 518);
 
 /// The exact outcome of the pinned [`smoke`] workload with `--quota`:
 /// the stock signature shape plus per-tenant `QuotaExceeded` counts.
-const QUOTA_SMOKE_SIGNATURE: (
-    (usize, usize, usize, usize, usize, u64, u64, u64),
-    (usize, usize, usize),
-) = ((2368, 1214, 407, 184, 563, 132_093, 718, 446), (366, 197, 0));
+const QUOTA_SMOKE_SIGNATURE: (SmokeSignature, (usize, usize, usize)) =
+    ((2368, 1214, 407, 184, 563, 132_093, 718, 446), (366, 197, 0));
 
 /// Pinned deterministic faulted workload: the stock scenario armed with
 /// [`fault_spec`] and per-tenant failure domains (see module docs).
@@ -533,17 +534,22 @@ fn fault_smoke(seed: u64) {
 /// The canonical seed `scripts/ci.sh` passes to `--smoke --faults`.
 const FAULT_SMOKE_SEED: u64 = 0xFA17;
 
-/// The exact outcome of the pinned [`fault_smoke`] workload at
-/// [`FAULT_SMOKE_SEED`]: (requests, pruned (completed, engine_failure,
-/// circuit_open, p99_us), dense (completed, completed_fallback,
-/// engine_failure), canary (completed, engine_failure), transitions).
-const FAULT_SMOKE_SIGNATURE: (
+/// The outcome counts a [`fault_smoke`] run asserts: (requests, pruned
+/// (completed, engine_failure, circuit_open, p99_us), dense (completed,
+/// completed_fallback, engine_failure), canary (completed,
+/// engine_failure), transitions).
+type FaultSmokeSignature = (
     usize,
     (usize, usize, usize, u64),
     (usize, usize, usize),
     (usize, usize),
     usize,
-) = (2368, (1365, 56, 159, 949), (565, 40, 39), (140, 44), 36);
+);
+
+/// The exact outcome of the pinned [`fault_smoke`] workload at
+/// [`FAULT_SMOKE_SEED`].
+const FAULT_SMOKE_SIGNATURE: FaultSmokeSignature =
+    (2368, (1365, 56, 159, 949), (565, 40, 39), (140, 44), 36);
 
 fn main() {
     let o = parse();

@@ -648,73 +648,6 @@ pub fn hygiene(paths: &OutputPaths) -> io::Result<String> {
     Ok(out)
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn record(strategy: &str, c: f64, seed: u64, top1: f32) -> RunRecord {
-        RunRecord {
-            experiment: "x".into(),
-            strategy: strategy.into(),
-            target_compression: c,
-            seed,
-            compression: c * 0.98,
-            speedup: c * 1.4,
-            top1,
-            top5: (top1 + 0.2).min(1.0),
-            top1_before_finetune: top1 * 0.5,
-            pretrain_top1: 0.9,
-            pretrain_top5: 0.99,
-            realized_speedup: None,
-            latency_us: None,
-        }
-    }
-
-    fn records() -> Vec<RunRecord> {
-        let mut v = Vec::new();
-        for (s, base) in [("Global Weight", 0.9), ("Random", 0.6)] {
-            for (i, c) in [1.0, 2.0, 4.0, 8.0].into_iter().enumerate() {
-                for seed in [1u64, 2] {
-                    v.push(record(s, c, seed, (base - 0.08 * i as f32) + seed as f32 * 0.01));
-                }
-            }
-        }
-        v
-    }
-
-    #[test]
-    fn render_panel_charts_all_strategies() {
-        let (text, table) = render_panel("test panel", &records(), "compression");
-        assert!(text.contains("Global Weight"));
-        assert!(text.contains("Random"));
-        assert!(text.contains("dense control: top1 0.9000"));
-        // 2 strategies × 4 ratios = 8 summary rows.
-        assert_eq!(table.len(), 8);
-    }
-
-    #[test]
-    fn render_panel_speedup_axis_uses_speedup_means() {
-        let (text, _) = render_panel("speedup panel", &records(), "speedup");
-        // Max x label reflects speedup (8 × 1.4 = 11.2), not compression.
-        assert!(text.contains("11.2"), "{text}");
-    }
-
-    #[test]
-    fn render_panel_reports_std_across_seeds() {
-        let (_, table) = render_panel("std panel", &records(), "compression");
-        let csv = table.to_csv();
-        // Two seeds 0.01 apart → std ≈ 0.00707.
-        assert!(csv.contains("0.0071"), "{csv}");
-    }
-
-    #[test]
-    fn output_paths_default_locations() {
-        let p = OutputPaths::default();
-        assert!(p.results.ends_with("results"));
-        assert!(p.figures.ends_with("figures"));
-    }
-}
-
 /// Realized vs theoretical speedup: run the actual CSR kernel against the
 /// dense matmul at several densities and compare wall-clock speedup with
 /// the paper's theoretical (multiply-add-ratio) metric. Timings are
@@ -1690,4 +1623,71 @@ pub fn multi_model_fairness(paths: &OutputPaths) -> io::Result<String> {
     );
     save(paths, "multi-model-fairness", &out, Some(&table))?;
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn record(strategy: &str, c: f64, seed: u64, top1: f32) -> RunRecord {
+        RunRecord {
+            experiment: "x".into(),
+            strategy: strategy.into(),
+            target_compression: c,
+            seed,
+            compression: c * 0.98,
+            speedup: c * 1.4,
+            top1,
+            top5: (top1 + 0.2).min(1.0),
+            top1_before_finetune: top1 * 0.5,
+            pretrain_top1: 0.9,
+            pretrain_top5: 0.99,
+            realized_speedup: None,
+            latency_us: None,
+        }
+    }
+
+    fn records() -> Vec<RunRecord> {
+        let mut v = Vec::new();
+        for (s, base) in [("Global Weight", 0.9), ("Random", 0.6)] {
+            for (i, c) in [1.0, 2.0, 4.0, 8.0].into_iter().enumerate() {
+                for seed in [1u64, 2] {
+                    v.push(record(s, c, seed, (base - 0.08 * i as f32) + seed as f32 * 0.01));
+                }
+            }
+        }
+        v
+    }
+
+    #[test]
+    fn render_panel_charts_all_strategies() {
+        let (text, table) = render_panel("test panel", &records(), "compression");
+        assert!(text.contains("Global Weight"));
+        assert!(text.contains("Random"));
+        assert!(text.contains("dense control: top1 0.9000"));
+        // 2 strategies × 4 ratios = 8 summary rows.
+        assert_eq!(table.len(), 8);
+    }
+
+    #[test]
+    fn render_panel_speedup_axis_uses_speedup_means() {
+        let (text, _) = render_panel("speedup panel", &records(), "speedup");
+        // Max x label reflects speedup (8 × 1.4 = 11.2), not compression.
+        assert!(text.contains("11.2"), "{text}");
+    }
+
+    #[test]
+    fn render_panel_reports_std_across_seeds() {
+        let (_, table) = render_panel("std panel", &records(), "compression");
+        let csv = table.to_csv();
+        // Two seeds 0.01 apart → std ≈ 0.00707.
+        assert!(csv.contains("0.0071"), "{csv}");
+    }
+
+    #[test]
+    fn output_paths_default_locations() {
+        let p = OutputPaths::default();
+        assert!(p.results.ends_with("results"));
+        assert!(p.figures.ends_with("figures"));
+    }
 }

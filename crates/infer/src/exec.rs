@@ -6,15 +6,16 @@
 //! boundaries and every kernel visits its inputs in a fixed index order,
 //! so the logits are byte-identical for any `SB_RUNTIME_THREADS` value.
 //!
-//! Each kernel replicates the floating-point operation order of the
-//! corresponding eval-mode layer in `sb-nn` (im2col unfold order, k-
+//! A conv step unfolds with `sb_tensor::im2col_into`, the loop `Conv2d`
+//! runs, and reorders with `sb_tensor::rows_to_nchw`. Every other kernel
+//! replicates the float order of its eval-mode layer in `sb-nn` (k-
 //! ascending dot products, bias added after the full accumulation,
 //! unfused batch-norm arithmetic), so a dense-compiled model reproduces
 //! `Model::forward` exactly, not just approximately.
 
 use crate::compile::CompiledModel;
 use crate::plan::{FeatureShape, Kernel, Planned, Step};
-use sb_tensor::{Conv2dGeometry, PackedRhs, Tensor};
+use sb_tensor::{im2col_into, rows_to_nchw, PackedRhs, Tensor};
 use std::sync::Mutex;
 
 /// Per-worker scratch: activation ping-pong buffers, a residual stash,
@@ -225,27 +226,14 @@ fn apply_step(
             geom,
             out_c,
         } => {
-            let (oh, ow) = (geom.out_h(), geom.out_w());
-            let spatial = oh * ow;
+            let spatial = geom.out_h() * geom.out_w();
             let _layer = sb_trace::span_with(|| format!("layer:{}", p.label));
             sb_trace::add(sb_trace::CounterId::Flops, kernel.macs() * (b * spatial) as u64);
             sb_trace::add(sb_trace::CounterId::BytesMoved, kernel.param_bytes() as u64);
-            let plen = geom.patch_len();
-            im2col_block(&cur[..b * geom.in_channels * geom.in_h * geom.in_w], b, geom, &mut patch[..b * spatial * plen]);
-            matmul_rows(
-                kernel,
-                bias,
-                &patch[..b * spatial * plen],
-                plen,
-                &mut rows[..b * spatial * out_c],
-            );
-            rows_to_nchw(
-                &rows[..b * spatial * out_c],
-                b,
-                *out_c,
-                spatial,
-                &mut tmp[..b * out_c * spatial],
-            );
+            let (plen, out_len) = (geom.patch_len(), b * p.out_shape.numel());
+            im2col_into(&cur[..b * p.in_shape.numel()], geom, &mut patch[..b * spatial * plen]);
+            matmul_rows(kernel, bias, &patch[..b * spatial * plen], plen, &mut rows[..out_len]);
+            rows_to_nchw(&rows[..out_len], *out_c, spatial, &mut tmp[..out_len]);
             std::mem::swap(cur, tmp);
         }
         Step::MaxPool { kernel, stride } => {
@@ -316,59 +304,6 @@ fn dense_rows(w: &PackedRhs, bias: &[f32], x: &[f32], y: &mut [f32]) {
     for yr in y.chunks_exact_mut(bias.len()) {
         for (o, &b) in yr.iter_mut().zip(bias) {
             *o += b;
-        }
-    }
-}
-
-/// Unfolds `b` contiguous `[c, h, w]` samples into `[b·oh·ow, patch]`
-/// rows — the same element order as `sb_tensor::im2col`.
-fn im2col_block(x: &[f32], b: usize, geom: &Conv2dGeometry, patch: &mut [f32]) {
-    let (c, h, w) = (geom.in_channels, geom.in_h, geom.in_w);
-    let (oh, ow) = (geom.out_h(), geom.out_w());
-    let (kh, kw) = (geom.kernel_h, geom.kernel_w);
-    let plen = geom.patch_len();
-    let stride = geom.stride;
-    let (pad_y, pad_x) = (geom.padding_h as isize, geom.padding_w as isize);
-    patch.fill(0.0);
-    let sample_block = oh * ow * plen;
-    for ni in 0..b {
-        let sample = &mut patch[ni * sample_block..(ni + 1) * sample_block];
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let row = (oy * ow + ox) * plen;
-                let base_y = (oy * stride) as isize - pad_y;
-                let base_x = (ox * stride) as isize - pad_x;
-                for ci in 0..c {
-                    let chan = (ni * c + ci) * h * w;
-                    for ky in 0..kh {
-                        let iy = base_y + ky as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue; // stays zero (padding)
-                        }
-                        let src_row = chan + iy as usize * w;
-                        let dst = row + (ci * kh + ky) * kw;
-                        for kx in 0..kw {
-                            let ix = base_x + kx as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            sample[dst + kx] = x[src_row + ix as usize];
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Reorders `[b·spatial, c]` rows into `[b, c, spatial]` images.
-fn rows_to_nchw(rows: &[f32], b: usize, c: usize, spatial: usize, out: &mut [f32]) {
-    for ni in 0..b {
-        for p in 0..spatial {
-            let row = (ni * spatial + p) * c;
-            for ci in 0..c {
-                out[(ni * c + ci) * spatial + p] = rows[row + ci];
-            }
         }
     }
 }

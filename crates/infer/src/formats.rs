@@ -81,7 +81,7 @@ impl BsrMatrix {
                     values.extend_from_slice(&row[start..end]);
                     // Right-edge blocks are zero-padded to full width so
                     // every block's value slice has the same length.
-                    values.extend(std::iter::repeat(0.0).take(block_w - (end - start)));
+                    values.extend(std::iter::repeat_n(0.0, block_w - (end - start)));
                 }
                 start += block_w;
             }

@@ -4,7 +4,7 @@ use crate::layers::Layer;
 use crate::network::{Mode, OpInfo};
 use crate::param::{Param, ParamKind};
 use crate::spec::LayerSpec;
-use sb_tensor::{col2im, im2col, Conv2dGeometry, Rng, Tensor};
+use sb_tensor::{col2im, im2col, nchw_to_rows, rows_to_nchw, Conv2dGeometry, Rng, Tensor};
 
 /// A 2-D convolution over `[N, C, H, W]` inputs with a fixed input
 /// geometry (models in this crate are built for a known input size, which
@@ -62,39 +62,6 @@ impl Conv2d {
     pub fn output_dims(&self) -> (usize, usize, usize) {
         (self.out_channels, self.geom.out_h(), self.geom.out_w())
     }
-
-    /// Reorders `[N·OH·OW, C]` rows into `[N, C, OH, OW]`.
-    fn rows_to_nchw(&self, rows: &Tensor, n: usize) -> Tensor {
-        let (c, oh, ow) = self.output_dims();
-        let mut out = vec![0.0f32; n * c * oh * ow];
-        let data = rows.data();
-        for ni in 0..n {
-            for p in 0..oh * ow {
-                let row = (ni * oh * ow + p) * c;
-                for ci in 0..c {
-                    out[(ni * c + ci) * oh * ow + p] = data[row + ci];
-                }
-            }
-        }
-        Tensor::from_vec(out, &[n, c, oh, ow]).expect("shape computed above")
-    }
-
-    /// Reorders `[N, C, OH, OW]` into `[N·OH·OW, C]` rows.
-    fn nchw_to_rows(&self, x: &Tensor) -> Tensor {
-        let n = x.dim(0);
-        let (c, oh, ow) = self.output_dims();
-        let mut out = vec![0.0f32; n * oh * ow * c];
-        let data = x.data();
-        for ni in 0..n {
-            for ci in 0..c {
-                let chan = (ni * c + ci) * oh * ow;
-                for p in 0..oh * ow {
-                    out[(ni * oh * ow + p) * c + ci] = data[chan + p];
-                }
-            }
-        }
-        Tensor::from_vec(out, &[n * oh * ow, c]).expect("shape computed above")
-    }
 }
 
 impl Layer for Conv2d {
@@ -110,7 +77,10 @@ impl Layer for Conv2d {
             self.cached_cols = Some(cols);
             self.cached_batch = n;
         }
-        self.rows_to_nchw(&rows, n)
+        let (c, oh, ow) = self.output_dims();
+        let mut out = vec![0.0f32; rows.numel()];
+        rows_to_nchw(rows.data(), c, oh * ow, &mut out);
+        Tensor::from_vec(out, &[n, c, oh, ow]).expect("shape computed above")
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -119,7 +89,10 @@ impl Layer for Conv2d {
             .take()
             .expect("Conv2d::backward called without a training-mode forward");
         let n = self.cached_batch;
-        let dy_rows = self.nchw_to_rows(grad_output);
+        let (c, oh, ow) = self.output_dims();
+        let mut dy = vec![0.0f32; grad_output.numel()];
+        nchw_to_rows(grad_output.data(), c, oh * ow, &mut dy);
+        let dy_rows = Tensor::from_vec(dy, &[n * oh * ow, c]).expect("shape computed above");
         // dW = dyᵀ · cols → [C_out, patch]
         let dw = dy_rows.transposed_matmul(&cols);
         self.weight.grad_mut().add_scaled_in_place(&dw, 1.0);
@@ -229,9 +202,12 @@ mod tests {
         let mut rng = Rng::seed_from(7);
         let conv = Conv2d::new("c", 3, geom(2, 4, 3, 1, 1), &mut rng);
         let x = Tensor::rand_normal(&[2, 3, 4, 4], 0.0, 1.0, &mut rng);
-        let rows = conv.nchw_to_rows(&x);
-        let back = conv.rows_to_nchw(&rows, 2);
-        assert_eq!(back, x);
+        let (c, oh, ow) = conv.output_dims();
+        let mut rows = vec![0.0; x.numel()];
+        nchw_to_rows(x.data(), c, oh * ow, &mut rows);
+        let mut back = vec![0.0; x.numel()];
+        rows_to_nchw(&rows, c, oh * ow, &mut back);
+        assert_eq!(back, x.data());
     }
 
     #[test]

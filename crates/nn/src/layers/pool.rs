@@ -55,8 +55,10 @@ impl Layer for MaxPool2d {
             let out_base = nc * oh * ow;
             for oy in 0..oh {
                 for ox in 0..ow {
+                    // A window with no value above −∞ (all −∞ or NaN)
+                    // routes its gradient to its own first element.
                     let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = 0;
+                    let mut best_idx = in_base + oy * self.stride * w + ox * self.stride;
                     for ky in 0..self.kernel {
                         let iy = oy * self.stride + ky;
                         for kx in 0..self.kernel {
@@ -232,6 +234,21 @@ mod tests {
         pool.forward(&x, Mode::Train);
         let dx = pool.backward(&Tensor::from_vec(vec![5.0], &[1, 1, 1, 1]).unwrap());
         assert_eq!(dx.data(), &[0.0, 0.0, 0.0, 5.0]);
+    }
+
+    #[test]
+    fn maxpool_routes_an_all_neg_infinity_window_to_its_own_element() {
+        // Channel 1 is all −∞, so no element beats the initial best; its
+        // gradient belongs to its own first element (index 4), not to
+        // element 0 of the batch.
+        let ninf = f32::NEG_INFINITY;
+        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, ninf, ninf, ninf, ninf], &[1, 2, 2, 2])
+            .unwrap();
+        let mut pool = MaxPool2d::new(2, 2);
+        let y = pool.forward(&x, Mode::Train);
+        assert_eq!(y.data(), &[4.0, ninf]);
+        let dx = pool.backward(&Tensor::from_vec(vec![5.0, 7.0], &[1, 2, 1, 1]).unwrap());
+        assert_eq!(dx.data(), &[0.0, 0.0, 0.0, 5.0, 7.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]

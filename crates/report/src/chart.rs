@@ -288,7 +288,7 @@ mod extra_tests {
         }
         let text = chart.render();
         // Markers repeat after 8 series; legend should list all 10.
-        assert_eq!(text.matches("s0").count() + text.matches("s1").count() >= 2, true);
+        assert!(text.matches("s0").count() + text.matches("s1").count() >= 2);
         assert!(text.contains("o s0"));
         assert!(text.contains("o s8"), "marker cycling");
     }

@@ -20,11 +20,7 @@ use std::ops::Range;
 
 fn chunk_count(n: usize, chunk: usize) -> usize {
     assert!(chunk > 0, "chunk size must be positive");
-    if n == 0 {
-        0
-    } else {
-        (n + chunk - 1) / chunk
-    }
+    n.div_ceil(chunk)
 }
 
 fn chunk_range(ci: usize, chunk: usize, n: usize) -> Range<usize> {
@@ -75,13 +71,13 @@ where
 /// Because the decomposition is fixed by `(n, chunk)` and the fold order
 /// is fixed by chunk index, the result is bit-identical for any worker
 /// count — even for non-associative accumulators like `f32` sums.
-pub fn parallel_for<T, A, M, F>(n: usize, chunk: usize, map: M, init: A, mut fold: F) -> A
+pub fn parallel_for<T, A, M, F>(n: usize, chunk: usize, map: M, init: A, fold: F) -> A
 where
     T: Send,
     M: Fn(Range<usize>) -> T + Sync,
     F: FnMut(A, T) -> A,
 {
-    map_chunks(n, chunk, map).into_iter().fold(init, |acc, v| fold(acc, v))
+    map_chunks(n, chunk, map).into_iter().fold(init, fold)
 }
 
 /// Splits `data` into consecutive `chunk_len`-element blocks (the last
@@ -184,7 +180,7 @@ mod tests {
             .collect();
         let expected = {
             let mut acc = 0.0f32;
-            for ci in 0..(xs.len() + 62) / 63 {
+            for ci in 0..xs.len().div_ceil(63) {
                 let lo = ci * 63;
                 let hi = (lo + 63).min(xs.len());
                 let mut part = 0.0f32;

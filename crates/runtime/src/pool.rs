@@ -438,7 +438,7 @@ mod tests {
         let pool = Pool::new(4);
         pool.scope(|s| {
             for _ in 0..16 {
-                s.spawn(|| std::thread::yield_now());
+                s.spawn(std::thread::yield_now);
             }
         });
         drop(pool); // must not hang

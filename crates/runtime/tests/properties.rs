@@ -39,7 +39,7 @@ fn every_spawned_task_runs_exactly_once() {
     check(
         "runtime::every_spawned_task_runs_exactly_once",
         cfg().cases(30),
-        |rng| (1 + rng.below(150) as usize, 1 + rng.below(4) as usize),
+        |rng| (1 + rng.below(150), 1 + rng.below(4)),
         |&(n_tasks, threads)| {
             let pool = Pool::new(threads);
             let runs: Vec<AtomicUsize> = (0..n_tasks).map(|_| AtomicUsize::new(0)).collect();
@@ -65,8 +65,8 @@ fn parallel_for_reduction_equals_sequential_fold() {
         "runtime::parallel_for_reduction_equals_sequential_fold",
         cfg().cases(40),
         |rng| {
-            let len = rng.below(400) as usize;
-            let chunk = 1 + rng.below(50) as usize;
+            let len = rng.below(400);
+            let chunk = 1 + rng.below(50);
             let xs: Vec<f32> = (0..len).map(|_| rng.uniform(-1e6, 1e6)).collect();
             (xs, chunk)
         },
@@ -91,7 +91,7 @@ fn parallel_for_reduction_equals_sequential_fold() {
             };
             for threads in [1usize, 4] {
                 let _guard = OverrideGuard::set(threads);
-                let got = parallel_for(xs.len(), *chunk, &sum, 0.0f32, |acc, p| acc + p);
+                let got = parallel_for(xs.len(), *chunk, sum, 0.0f32, |acc, p| acc + p);
                 prop_assert!(
                     got.to_bits() == expected.to_bits(),
                     "thread count {threads} changed the reduction: {got} vs {expected}"
@@ -107,7 +107,7 @@ fn worker_panics_surface_as_scope_errors() {
     check(
         "runtime::worker_panics_surface_as_scope_errors",
         cfg().cases(15),
-        |rng| (1 + rng.below(3) as usize, rng.below(20) as usize),
+        |rng| (1 + rng.below(3), rng.below(20)),
         |&(threads, quiet_tasks)| {
             let pool = Pool::new(threads);
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -150,7 +150,7 @@ fn cancellation_leaves_no_queued_job_running() {
     check(
         "runtime::cancellation_leaves_no_queued_job_running",
         cfg().cases(15),
-        |rng| 1 + rng.below(30) as usize,
+        |rng| 1 + rng.below(30),
         |&n_jobs| {
             // A one-worker pool whose only worker is pinned by a blocker
             // job: everything submitted behind it stays queued until we

@@ -114,7 +114,7 @@ pub fn simulate(
         .collect();
     let clock = Arc::new(SimClock::new());
     let mut ms = MultiServer::new(tenants, cfg, clock.clone());
-    let done = run_multi_open_loop_sim(&mut ms, &clock, loads, horizon_us, |t, i| sample(t, i));
+    let done = run_multi_open_loop_sim(&mut ms, &clock, loads, horizon_us, sample);
     let picks = ms.take_picks();
     crate::load::profile(&ms, &done, &picks, horizon_us)
 }

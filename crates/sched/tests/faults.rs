@@ -261,18 +261,20 @@ fn tripped_tenant_with_fallback_degrades_instead_of_shedding() {
 // Randomized fault stacks: accounting and determinism
 // ---------------------------------------------------------------------
 
+/// `(weight, priority, policy, service, fallback, breaker)` of one
+/// tenant.
+type FaultTenant = (
+    u64,
+    Priority,
+    TenantPolicy,
+    ServiceModel,
+    Option<ServiceModel>,
+    Option<BreakerConfig>,
+);
+
 #[derive(Debug, Clone)]
 struct FaultMultiWorkload {
-    /// `(weight, priority, policy, service, fallback, breaker)` per
-    /// tenant.
-    tenants: Vec<(
-        u64,
-        Priority,
-        TenantPolicy,
-        ServiceModel,
-        Option<ServiceModel>,
-        Option<BreakerConfig>,
-    )>,
+    tenants: Vec<FaultTenant>,
     max_inflight: usize,
     retry: RetryPolicy,
     fault: FaultSpec,

@@ -114,8 +114,7 @@ fn run_quota(w: &QuotaWorkload) -> (Vec<SchedCompletion>, Vec<PickRecord>) {
         clock.clone(),
     );
     let mut out = Vec::new();
-    let mut submitted = 0u64;
-    for &(t, tenant, deadline_rel) in &w.script {
+    for (submitted, &(t, tenant, deadline_rel)) in w.script.iter().enumerate() {
         while let Some(ev) = ms.next_event_us() {
             if ev >= t {
                 break;
@@ -125,7 +124,6 @@ fn run_quota(w: &QuotaWorkload) -> (Vec<SchedCompletion>, Vec<PickRecord>) {
         }
         clock.advance_to(t);
         ms.submit(tenant, vec![submitted as f32], deadline_rel.map(|d| t + d));
-        submitted += 1;
     }
     ms.begin_drain();
     out.append(&mut ms.take_completions());

@@ -314,8 +314,7 @@ fn run_fault_scenario(w: &FaultWorkload) -> Vec<Completion> {
         server = server.with_fallback(EchoEngine::new(1, CLASSES, fb));
     }
     let mut out = Vec::new();
-    let mut i = 0u64;
-    for &(t, deadline_rel) in &w.script {
+    for (i, &(t, deadline_rel)) in w.script.iter().enumerate() {
         while let Some(ev) = server.next_event_us() {
             if ev >= t {
                 break;
@@ -325,7 +324,6 @@ fn run_fault_scenario(w: &FaultWorkload) -> Vec<Completion> {
         }
         clock.advance_to(t);
         server.submit(vec![i as f32], deadline_rel.map(|d| t + d));
-        i += 1;
         out.append(&mut server.take_completions());
     }
     drain_sim(&mut server, &clock, &mut out);

@@ -1,13 +1,25 @@
-//! Convolution lowering: `im2col` / `col2im` and output-geometry math.
+//! Convolution lowering: `im2col` / `col2im`, the reorders between
+//! product rows and images, and output-geometry math.
 //!
-//! Convolutions in `sb-nn` are computed as matrix products over patch
-//! matrices: the input `[N, C, H, W]` is unfolded into a
-//! `[N·H_out·W_out, C·KH·KW]` patch matrix (`im2col`), multiplied by the
-//! reshaped kernel, and the backward pass folds gradients back with
-//! `col2im`. This keeps the only nontrivial indexing logic in one place.
+//! A convolution is a matrix product over a patch matrix: the input
+//! `[N, C, H, W]` is unfolded into `[N·H_out·W_out, C·KH·KW]` rows, times
+//! the `[C_out, C·KH·KW]` kernel, and the product's rows are reordered
+//! into `[N, C_out, H_out, W_out]`; the backward pass reorders the
+//! gradient back into rows and folds the patch gradient with `col2im`.
+//! This module is the whole lowering. sb-nn's `Conv2d` ([`im2col`],
+//! [`col2im`]) and sb-infer's conv step ([`im2col_into`] on its batch
+//! blocks) run the same unfold loop.
+//!
+//! Both directions work from each output pixel's **tap ranges**: the
+//! kernel rows and columns whose input lies inside the image. The unfold
+//! copies each (channel, kernel-row) run as one slice and writes padding
+//! as `+0.0`; the fold adds each run into its image row with no bounds
+//! test per element, in the reference loop's order: each image element
+//! adds its contributions in ascending `(oy, ox)`.
 
 use crate::tensor::Tensor;
 use sb_json::json_struct;
+use std::ops::Range;
 
 /// Static geometry of a 2-D convolution (or pooling) window.
 ///
@@ -103,6 +115,17 @@ fn out_extent(input: usize, kernel: usize, stride: usize, padding: usize) -> usi
     (padded - kernel) / stride + 1
 }
 
+/// The taps `t` of a `k`-tap window at output coordinate `o` whose input
+/// `o·stride + t − pad` lies in `0..len`, and the input of the first one.
+/// A window wholly in padding has no taps, and its first input is clamped
+/// to `len` so that slicing from it stays in bounds.
+fn taps(o: usize, stride: usize, pad: usize, k: usize, len: usize) -> (Range<usize>, usize) {
+    let start = o * stride;
+    let lo = pad.saturating_sub(start).min(k);
+    let hi = (len + pad).saturating_sub(start).clamp(lo, k);
+    (lo..hi, (start + lo).saturating_sub(pad).min(len))
+}
+
 /// Unfolds a batched image tensor `[N, C, H, W]` into a patch matrix
 /// `[N·out_h·out_w, C·kh·kw]`.
 ///
@@ -119,75 +142,105 @@ pub fn im2col(input: &Tensor, geom: &Conv2dGeometry) -> Tensor {
     assert_eq!(c, geom.in_channels, "channel mismatch");
     assert_eq!(h, geom.in_h, "height mismatch");
     assert_eq!(w, geom.in_w, "width mismatch");
-    let (oh, ow) = (geom.out_h(), geom.out_w());
-    let patch = geom.patch_len();
-    let mut out = vec![0.0f32; n * oh * ow * patch];
+    let (rows, patch) = (geom.out_h() * geom.out_w(), geom.patch_len());
+    let mut out = vec![0.0f32; n * rows * patch];
     let data = input.data();
-    let (kh, kw) = (geom.kernel_h, geom.kernel_w);
-    let stride = geom.stride;
-    let (pad_y, pad_x) = (geom.padding_h as isize, geom.padding_w as isize);
 
     // Each sample's patch rows form one disjoint output block, so the
     // unfold parallelizes over sample groups; every element is written by
     // exactly one task, making the result worker-count independent.
-    let sample_block = oh * ow * patch;
+    let sample_block = rows * patch;
     let per = (32_768 / sample_block.max(1)).clamp(1, n.max(1));
     sb_runtime::for_each_chunk_mut(&mut out, per * sample_block, |chunk, block| {
-        for (si, sample) in block.chunks_mut(sample_block).enumerate() {
-            let ni = chunk * per + si;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let row = (oy * ow + ox) * patch;
-                    let base_y = (oy * stride) as isize - pad_y;
-                    let base_x = (ox * stride) as isize - pad_x;
-                    for ci in 0..c {
-                        let chan = (ni * c + ci) * h * w;
-                        for ky in 0..kh {
-                            let iy = base_y + ky as isize;
-                            if iy < 0 || iy >= h as isize {
-                                continue; // row stays zero (padding)
-                            }
-                            let src_row = chan + iy as usize * w;
-                            let dst = row + (ci * kh + ky) * kw;
-                            for kx in 0..kw {
-                                let ix = base_x + kx as isize;
-                                if ix < 0 || ix >= w as isize {
-                                    continue;
-                                }
-                                sample[dst + kx] = data[src_row + ix as usize];
-                            }
+        let x = &data[chunk * per * c * h * w..][..block.len() / sample_block * c * h * w];
+        im2col_into(x, geom, block);
+    });
+    Tensor::from_vec(out, &[n * rows, patch]).expect("shape computed above")
+}
+
+/// Unfolds the contiguous `[C, H, W]` samples of `x` into `out`, their
+/// patch matrix as [`im2col`] lays it out, on the calling thread. Every
+/// element of `out` is written, padding as `+0.0`, so it may hold
+/// anything beforehand.
+///
+/// # Panics
+///
+/// Panics if `x` is not whole samples of `geom` or `out` is not their
+/// patch matrix.
+pub fn im2col_into(x: &[f32], geom: &Conv2dGeometry, out: &mut [f32]) {
+    let in_len = geom.in_channels * geom.in_h * geom.in_w;
+    let n = x.len().checked_div(in_len).unwrap_or(0);
+    let out_len = n * geom.out_h() * geom.out_w() * geom.patch_len();
+    assert!(x.len() == n * in_len && out.len() == out_len, "partial im2col_into samples");
+    if out.is_empty() {
+        return;
+    }
+    // The kernel size is a constant in each arm, so the runs of the
+    // common square kernels are fixed-length moves.
+    match (geom.kernel_h, geom.kernel_w) {
+        (1, 1) => unfold(x, geom, out, 1, 1),
+        (3, 3) => unfold(x, geom, out, 3, 3),
+        (5, 5) => unfold(x, geom, out, 5, 5),
+        (kh, kw) => unfold(x, geom, out, kh, kw),
+    }
+}
+
+/// [`im2col_into`]'s loop for a `kh × kw` kernel (`out` non-empty).
+#[inline(always)]
+fn unfold(x: &[f32], g: &Conv2dGeometry, out: &mut [f32], kh: usize, kw: usize) {
+    let (h, w, ow, patch) = (g.in_h, g.in_w, g.out_w(), g.patch_len());
+    let samples = x.chunks_exact(g.in_channels * h * w);
+    for (sample, rows) in samples.zip(out.chunks_exact_mut(g.out_h() * ow * patch)) {
+        for (oy, line) in rows.chunks_exact_mut(ow * patch).enumerate() {
+            let (ys, y0) = taps(oy, g.stride, g.padding_h, kh, h);
+            for (ox, row) in line.chunks_exact_mut(patch).enumerate() {
+                let (xs, x0) = taps(ox, g.stride, g.padding_w, kw, w);
+                let full = xs.len() == kw;
+                for (chan, runs) in sample.chunks_exact(h * w).zip(row.chunks_exact_mut(kh * kw)) {
+                    if full && ys.len() == kh {
+                        // No tap in padding: `kh` fixed-length copies.
+                        let src = &chan[y0 * w + x0..][..(kh - 1) * w + kw];
+                        for (ky, run) in runs.chunks_exact_mut(kw).enumerate() {
+                            run.copy_from_slice(&src[ky * w..ky * w + kw]);
+                        }
+                        continue;
+                    }
+                    for (ky, run) in runs.chunks_exact_mut(kw).enumerate() {
+                        if !ys.contains(&ky) {
+                            run.fill(0.0);
+                            continue;
+                        }
+                        let src = &chan[(y0 + ky - ys.start) * w + x0..];
+                        if full {
+                            run.copy_from_slice(&src[..kw]);
+                        } else {
+                            run[..xs.start].fill(0.0);
+                            run[xs.clone()].copy_from_slice(&src[..xs.len()]);
+                            run[xs.end..].fill(0.0);
                         }
                     }
                 }
             }
         }
-    });
-    Tensor::from_vec(out, &[n * oh * ow, patch]).expect("shape computed above")
+    }
 }
 
 /// Folds a patch-matrix gradient `[N·out_h·out_w, C·kh·kw]` back into an
 /// image gradient `[N, C, H, W]`, accumulating overlapping contributions.
 ///
 /// This is the exact adjoint of [`im2col`]: positions that were read `k`
-/// times during unfolding receive the sum of their `k` gradient copies.
+/// times during unfolding receive the sum of their `k` gradient copies,
+/// added in ascending `(oy, ox)` of the windows that read them.
 ///
 /// # Panics
 ///
 /// Panics if `cols` dims disagree with `geom` for batch size `n`.
 pub fn col2im(cols: &Tensor, n: usize, geom: &Conv2dGeometry) -> Tensor {
-    let (oh, ow) = (geom.out_h(), geom.out_w());
-    let patch = geom.patch_len();
-    assert_eq!(
-        cols.dims(),
-        &[n * oh * ow, patch],
-        "col2im input shape mismatch"
-    );
+    let (rows, patch) = (geom.out_h() * geom.out_w(), geom.patch_len());
+    assert_eq!(cols.dims(), &[n * rows, patch], "col2im input shape mismatch");
     let (c, h, w) = (geom.in_channels, geom.in_h, geom.in_w);
     let mut out = vec![0.0f32; n * c * h * w];
     let data = cols.data();
-    let (kh, kw) = (geom.kernel_h, geom.kernel_w);
-    let stride = geom.stride;
-    let (pad_y, pad_x) = (geom.padding_h as isize, geom.padding_w as isize);
 
     // Overlapping windows only collide *within* a sample, never across
     // samples, so the fold parallelizes over sample groups; within each
@@ -195,36 +248,75 @@ pub fn col2im(cols: &Tensor, n: usize, geom: &Conv2dGeometry) -> Tensor {
     let sample_block = c * h * w;
     let per = (32_768 / sample_block.max(1)).clamp(1, n.max(1));
     sb_runtime::for_each_chunk_mut(&mut out, per * sample_block, |chunk, block| {
-        for (si, sample) in block.chunks_mut(sample_block).enumerate() {
-            let ni = chunk * per + si;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let row = ((ni * oh + oy) * ow + ox) * patch;
-                    let base_y = (oy * stride) as isize - pad_y;
-                    let base_x = (ox * stride) as isize - pad_x;
-                    for ci in 0..c {
-                        let chan = ci * h * w;
-                        for ky in 0..kh {
-                            let iy = base_y + ky as isize;
-                            if iy < 0 || iy >= h as isize {
-                                continue;
-                            }
-                            let dst_row = chan + iy as usize * w;
-                            let src = row + (ci * kh + ky) * kw;
-                            for kx in 0..kw {
-                                let ix = base_x + kx as isize;
-                                if ix < 0 || ix >= w as isize {
-                                    continue;
-                                }
-                                sample[dst_row + ix as usize] += data[src + kx];
-                            }
+        let cols = &data[chunk * per * rows * patch..][..block.len() / sample_block * rows * patch];
+        match (geom.kernel_h, geom.kernel_w) {
+            (1, 1) => fold(cols, geom, block, 1, 1),
+            (3, 3) => fold(cols, geom, block, 3, 3),
+            (5, 5) => fold(cols, geom, block, 5, 5),
+            (kh, kw) => fold(cols, geom, block, kh, kw),
+        }
+    });
+    Tensor::from_vec(out, &[n, c, h, w]).expect("shape computed above")
+}
+
+/// [`col2im`]'s loop for a `kh × kw` kernel: the windows of each sample in
+/// ascending `(oy, ox)`, each adding its in-image runs into `out`.
+#[inline(always)]
+fn fold(cols: &[f32], g: &Conv2dGeometry, out: &mut [f32], kh: usize, kw: usize) {
+    let (h, w, ow, patch) = (g.in_h, g.in_w, g.out_w(), g.patch_len());
+    let samples = cols.chunks_exact(g.out_h() * ow * patch);
+    for (rows, image) in samples.zip(out.chunks_exact_mut(g.in_channels * h * w)) {
+        for (oy, line) in rows.chunks_exact(ow * patch).enumerate() {
+            let (ys, y0) = taps(oy, g.stride, g.padding_h, kh, h);
+            for (ox, row) in line.chunks_exact(patch).enumerate() {
+                let (xs, x0) = taps(ox, g.stride, g.padding_w, kw, w);
+                for (chan, runs) in image.chunks_exact_mut(h * w).zip(row.chunks_exact(kh * kw)) {
+                    for (ky, run) in runs.chunks_exact(kw).enumerate().take(ys.end).skip(ys.start) {
+                        let dst = &mut chan[(y0 + ky - ys.start) * w + x0..];
+                        let (dst, run) = match xs.len() == kw {
+                            true => (&mut dst[..kw], run),
+                            false => (dst, &run[xs.clone()]),
+                        };
+                        for (d, &v) in dst.iter_mut().zip(run) {
+                            *d += v;
                         }
                     }
                 }
             }
         }
-    });
-    Tensor::from_vec(out, &[n, c, h, w]).expect("shape computed above")
+    }
+}
+
+/// Reorders `[N·S, C]` rows, one per output pixel as a conv's product
+/// leaves them, into `[N, C, S]` images of `S = spatial` pixels.
+///
+/// # Panics
+///
+/// Panics unless both slices hold the same whole number of `C·S` samples.
+pub fn rows_to_nchw(rows: &[f32], channels: usize, spatial: usize, out: &mut [f32]) {
+    let sample = channels * spatial;
+    assert!(rows.len() == out.len() && rows.len().is_multiple_of(sample), "partial samples");
+    for (src, dst) in rows.chunks_exact(sample).zip(out.chunks_exact_mut(sample)) {
+        for (p, row) in src.chunks_exact(channels).enumerate() {
+            for (ci, &v) in row.iter().enumerate() {
+                dst[ci * spatial + p] = v;
+            }
+        }
+    }
+}
+
+/// The inverse of [`rows_to_nchw`]: `[N, C, S]` images into `[N·S, C]`
+/// rows, with the same panics.
+pub fn nchw_to_rows(images: &[f32], channels: usize, spatial: usize, out: &mut [f32]) {
+    let sample = channels * spatial;
+    assert!(images.len() == out.len() && images.len().is_multiple_of(sample), "partial samples");
+    for (src, dst) in images.chunks_exact(sample).zip(out.chunks_exact_mut(sample)) {
+        for (ci, chan) in src.chunks_exact(spatial).enumerate() {
+            for (p, &v) in chan.iter().enumerate() {
+                dst[p * channels + ci] = v;
+            }
+        }
+    }
 }
 
 #[cfg(test)]

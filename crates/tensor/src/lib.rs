@@ -13,9 +13,20 @@
 //! safe-Rust loop nest that can be verified against the reference formula,
 //! because the experiments built on top (the ShrinkBench reproduction) care
 //! about correctness of gradients and pruning masks, not about GPU-class
-//! throughput. The one kernel shaped for speed is the forward product
-//! `a · bᵀ`, which computes a register tile of outputs at a time over a
-//! packed copy of `b`. The tile has two callers:
+//! throughput. Two kernels are shaped for speed, and each serves both
+//! training and sb-infer from one body.
+//!
+//! The convolution lowering ([`im2col`], [`col2im`] and the slice entry
+//! [`im2col_into`]) works from each output pixel's tap ranges, so it
+//! copies whole kernel-row runs and never tests a bound per element;
+//! `Conv2d` calls the tensor entries and sb-infer's conv step calls
+//! [`im2col_into`] on its batch blocks, with the product-row reorders
+//! [`rows_to_nchw`] and [`nchw_to_rows`] beside them. The unfold only
+//! moves values, and the fold adds in the per-element loop's order, so
+//! their bits are that loop's.
+//!
+//! The forward product `a · bᵀ` computes a register tile of outputs at a
+//! time over a packed copy of `b`. The tile has two callers:
 //! [`Tensor::matmul_transposed`] (every `Linear` and `Conv2d` forward)
 //! packs `b` on each call, and [`PackedRhs`] lets a caller with fixed
 //! weights (sb-infer's dense kernel) pack them once and run the tile over
@@ -48,7 +59,7 @@ mod shape;
 mod sparse;
 mod tensor;
 
-pub use conv::{col2im, im2col, Conv2dGeometry};
+pub use conv::{col2im, im2col, im2col_into, nchw_to_rows, rows_to_nchw, Conv2dGeometry};
 pub use error::TensorError;
 pub use init::Rng;
 pub use linalg::PackedRhs;

@@ -248,13 +248,13 @@ impl SparseMatrix {
     pub fn matvec(&self, v: &Tensor) -> Tensor {
         assert_eq!(v.numel(), self.cols, "vector length mismatch");
         let mut out = vec![0.0f32; self.rows];
-        for r in 0..self.rows {
+        for (r, o) in out.iter_mut().enumerate() {
             let (lo, hi) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
             let mut acc = 0.0f32;
             for k in lo..hi {
                 acc += self.values[k] * v.data()[self.col_idx[k] as usize];
             }
-            out[r] = acc;
+            *o = acc;
         }
         Tensor::from_vec(out, &[self.rows]).expect("shape computed above")
     }

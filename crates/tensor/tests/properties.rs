@@ -3,7 +3,9 @@
 //! that replays the exact case.
 
 use sb_check::{check, prop_assert, prop_assert_eq, Config, Rng};
-use sb_tensor::{col2im, im2col, Conv2dGeometry, PackedRhs, Tensor};
+use sb_tensor::{
+    col2im, im2col, im2col_into, nchw_to_rows, rows_to_nchw, Conv2dGeometry, PackedRhs, Tensor,
+};
 
 /// Pinned suite seed: every property below derives its per-case seeds
 /// from this value, so failures reproduce across machines.
@@ -423,4 +425,172 @@ fn assert_bitwise(got: &[f32], want: &[f32], n: usize, kernel: &str) -> Result<(
         }
     }
     Ok(())
+}
+
+/// Pinned seed of the convolution-lowering suite below.
+const LOWERING_SUITE: u64 = 0x7E45_0012;
+
+/// The per-element unfold loop that `im2col` ran before it worked from
+/// tap ranges: every patch element is tested against the image bounds,
+/// and padding keeps the `0.0` the buffer starts with.
+fn im2col_reference(x: &[f32], n: usize, g: &Conv2dGeometry) -> Vec<f32> {
+    let (c, h, w) = (g.in_channels, g.in_h, g.in_w);
+    let (oh, ow, patch) = (g.out_h(), g.out_w(), g.patch_len());
+    let (kh, kw) = (g.kernel_h, g.kernel_w);
+    let (pad_y, pad_x) = (g.padding_h as isize, g.padding_w as isize);
+    let mut out = vec![0.0f32; n * oh * ow * patch];
+    for ni in 0..n {
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let row = ((ni * oh + oy) * ow + ox) * patch;
+                let base_y = (oy * g.stride) as isize - pad_y;
+                let base_x = (ox * g.stride) as isize - pad_x;
+                for ci in 0..c {
+                    let chan = (ni * c + ci) * h * w;
+                    for ky in 0..kh {
+                        let iy = base_y + ky as isize;
+                        if iy < 0 || iy >= h as isize {
+                            continue;
+                        }
+                        for kx in 0..kw {
+                            let ix = base_x + kx as isize;
+                            if ix < 0 || ix >= w as isize {
+                                continue;
+                            }
+                            out[row + (ci * kh + ky) * kw + kx] =
+                                x[chan + iy as usize * w + ix as usize];
+                        }
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The per-element fold loop that `col2im` ran before it worked from tap
+/// ranges: each image element adds its contributions in ascending
+/// `(oy, ox)`.
+fn col2im_reference(cols: &[f32], n: usize, g: &Conv2dGeometry) -> Vec<f32> {
+    let (c, h, w) = (g.in_channels, g.in_h, g.in_w);
+    let (oh, ow, patch) = (g.out_h(), g.out_w(), g.patch_len());
+    let (kh, kw) = (g.kernel_h, g.kernel_w);
+    let (pad_y, pad_x) = (g.padding_h as isize, g.padding_w as isize);
+    let mut out = vec![0.0f32; n * c * h * w];
+    for ni in 0..n {
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let row = ((ni * oh + oy) * ow + ox) * patch;
+                let base_y = (oy * g.stride) as isize - pad_y;
+                let base_x = (ox * g.stride) as isize - pad_x;
+                for ci in 0..c {
+                    let chan = (ni * c + ci) * h * w;
+                    for ky in 0..kh {
+                        let iy = base_y + ky as isize;
+                        if iy < 0 || iy >= h as isize {
+                            continue;
+                        }
+                        for kx in 0..kw {
+                            let ix = base_x + kx as isize;
+                            if ix < 0 || ix >= w as isize {
+                                continue;
+                            }
+                            out[chan + iy as usize * w + ix as usize] +=
+                                cols[row + (ci * kh + ky) * kw + kx];
+                        }
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Free parameters of a conv geometry: `(channels, extra height, extra
+/// width)`, `(kernel height, kernel width)` and `(stride, padding above,
+/// padding left)`, each counted from its least value, so that a shrunk
+/// case is still a valid geometry.
+type GeometryParams = ((usize, usize, usize), (usize, usize), (usize, usize, usize));
+
+/// Kernels of 1–5 taps per axis, not always square, strides of 1–3 and
+/// padding of up to kernel + 1 per axis, which puts some windows wholly
+/// in padding.
+fn lowering_params(rng: &mut Rng) -> GeometryParams {
+    let kh = rng.below(5);
+    let kw = if rng.coin(0.5) { kh } else { rng.below(5) };
+    let shape = (rng.below(3), rng.below(7), rng.below(7));
+    (shape, (kh, kw), (rng.below(3), rng.below(7), rng.below(7)))
+}
+
+/// The geometry of `lowering_params`: each input extent is the least
+/// that fits the kernel (at least 1) plus its extra.
+fn lowering_geometry(params: &GeometryParams) -> Conv2dGeometry {
+    let &((c, extra_h, extra_w), (kh, kw), (s, ph, pw)) = params;
+    let (kernel_h, kernel_w) = (kh + 1, kw + 1);
+    let (padding_h, padding_w) = (ph.min(kernel_h + 1), pw.min(kernel_w + 1));
+    Conv2dGeometry {
+        in_channels: c + 1,
+        in_h: kernel_h.saturating_sub(2 * padding_h).max(1) + extra_h,
+        in_w: kernel_w.saturating_sub(2 * padding_w).max(1) + extra_w,
+        kernel_h,
+        kernel_w,
+        stride: s + 1,
+        padding_h,
+        padding_w,
+    }
+}
+
+#[test]
+fn conv_lowering_is_bitwise_the_per_element_loops() {
+    check(
+        "tensor::conv_lowering_is_bitwise_the_per_element_loops",
+        Config::new(LOWERING_SUITE).cases(256),
+        |rng| (lowering_params(rng), rng.below(4), rng.below(1 << 20) as u64, rng.coin(0.5)),
+        |(params, n, seed, specials)| {
+            let (g, n, specials) = (lowering_geometry(params), *n, *specials);
+            let mut rng = Rng::seed_from(*seed);
+            let numel = n * g.in_channels * g.in_h * g.in_w;
+            let x: Vec<f32> = (0..numel).map(|_| tile_value(&mut rng, specials)).collect();
+            let want = im2col_reference(&x, n, &g);
+            let patch = g.patch_len();
+            let input = Tensor::from_vec(x.clone(), &[n, g.in_channels, g.in_h, g.in_w]).unwrap();
+            let cols = im2col(&input, &g);
+            prop_assert_eq!(cols.dims(), &[want.len() / patch, patch]);
+            assert_bitwise(cols.data(), &want, patch, "im2col")?;
+            // The slice entry must write every element itself, padding
+            // as +0.0: a NaN left over fails the comparison.
+            let mut into = vec![f32::NAN; want.len()];
+            im2col_into(&x, &g, &mut into);
+            assert_bitwise(&into, &want, patch, "im2col_into")?;
+
+            let grads: Vec<f32> = (0..want.len()).map(|_| tile_value(&mut rng, specials)).collect();
+            let folded = col2im(&Tensor::from_vec(grads.clone(), cols.dims()).unwrap(), n, &g);
+            prop_assert_eq!(folded.dims(), input.dims());
+            assert_bitwise(folded.data(), &col2im_reference(&grads, n, &g), g.in_w, "col2im")
+        },
+    );
+}
+
+#[test]
+fn conv_row_reorders_round_trip() {
+    check(
+        "tensor::conv_row_reorders_round_trip",
+        Config::new(LOWERING_SUITE),
+        |rng| (rng.below(4), rng.below(5) + 1, rng.below(20) + 1, rng.below(1 << 20) as u64),
+        |&(n, channels, spatial, seed)| {
+            let mut rng = Rng::seed_from(seed);
+            let len = n * spatial * channels;
+            let rows: Vec<f32> = (0..len).map(|_| tile_value(&mut rng, true)).collect();
+            let mut images = vec![f32::NAN; rows.len()];
+            rows_to_nchw(&rows, channels, spatial, &mut images);
+            for (i, &v) in rows.iter().enumerate() {
+                let (ni, p, ci) = (i / (spatial * channels), i / channels % spatial, i % channels);
+                let at = (ni * channels + ci) * spatial + p;
+                prop_assert!(images[at].to_bits() == v.to_bits(), "row value {} misplaced", i);
+            }
+            let mut back = vec![f32::NAN; rows.len()];
+            nchw_to_rows(&images, channels, spatial, &mut back);
+            assert_bitwise(&back, &rows, channels, "nchw_to_rows")
+        },
+    );
 }

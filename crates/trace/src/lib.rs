@@ -288,11 +288,13 @@ struct ThreadState {
 }
 
 thread_local! {
-    static TLS: RefCell<ThreadState> = RefCell::new(ThreadState {
-        stack: Vec::new(),
-        agg: BTreeMap::new(),
-        label: None,
-    });
+    static TLS: RefCell<ThreadState> = const {
+        RefCell::new(ThreadState {
+            stack: Vec::new(),
+            agg: BTreeMap::new(),
+            label: None,
+        })
+    };
 }
 
 /// Closes its span on drop.

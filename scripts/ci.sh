@@ -17,6 +17,10 @@ export CARGO_NET_OFFLINE=true
 
 cargo build --release --offline
 
+# Lints gate merges like tests do: the workspace, its tests, benches and
+# binaries are clippy-clean, and a new warning fails tier-1.
+cargo clippy --offline --all-targets -- -D warnings
+
 # Compile-check every bench target (realized.rs, kernels.rs, the infer
 # end-to-end benches) without running them, so bench code can't rot.
 cargo bench --no-run --offline
