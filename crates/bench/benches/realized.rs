@@ -47,14 +47,10 @@ fn bench_realized_speedup(c: &mut Timer) {
 /// Single-threaded per-format row kernels on conv2-shaped data (im2col
 /// rows of a late conv layer: short rows, weight reused across every
 /// spatial position): divide each format's ns/iter by its executed lanes
-/// to get its per-lane cost relative to the dense kernel. The dense row
-/// runs sb-tensor's register tile over weights packed once, then adds the
-/// bias, as `sb-infer`'s dense kernel does; the CSR loop replicates the
-/// (private) `sb-infer` CSR kernel exactly. The cost-model constants in
-/// `crates/infer/src/compile.rs` were fit on this group when its dense
-/// row was the single-accumulator dot product that `sb-infer` ran before
-/// the tile (850 µs per iteration here on the calibration host), so they
-/// are in units of that retired scalar lane.
+/// to get its per-lane cost relative to the dense kernel. The dense and
+/// CSR rows run sb-tensor's register tile and CSR row tile, then add the
+/// bias, as `sb-infer`'s linear steps do. (sb-infer's cost model is
+/// fitted to per-layer spans instead: `expfig cost-fit`.)
 fn bench_conv_row_kernels(c: &mut Timer) {
     let (out_f, in_cols, n_rows) = (16usize, 200usize, 512usize);
     let mut rng = Rng::seed_from(7);
@@ -82,14 +78,10 @@ fn bench_conv_row_kernels(c: &mut Timer) {
         let bitmap = BitmapMatrix::from_dense(&w);
         group.bench_function(format!("csr-density-{density}"), |b| {
             b.iter(|| {
-                for (xr, yr) in x.data().chunks_exact(in_cols).zip(y.chunks_exact_mut(out_f)) {
-                    for (j, o) in yr.iter_mut().enumerate() {
-                        let (cols, vals) = csr.row(j);
-                        let mut acc = 0.0f32;
-                        for (&ci, &v) in cols.iter().zip(vals) {
-                            acc += v * xr[ci as usize];
-                        }
-                        *o = acc + bias[j];
+                csr.matmul_rows(x.data(), &mut y);
+                for yr in y.chunks_exact_mut(out_f) {
+                    for (o, &bv) in yr.iter_mut().zip(&bias) {
+                        *o += bv;
                     }
                 }
                 std::hint::black_box(&y);

@@ -49,6 +49,7 @@ const ARTIFACTS: &[(&str, &str)] = &[
     ("inference-speedup", "Section 2.1/Fig 6: theoretical vs realized speedup of compiled models"),
     ("latency-attribution", "Trace: realized inference latency by layer x kernel format"),
     ("format-crossover", "Tentpole: realized wall-clock of dense/CSR/BSR/bitmap kernels across sparsity ratios"),
+    ("cost-fit", "Cost model: per-layer self time in every format, the fitted constants and their error"),
     ("sparsity-profile", "Mechanism: per-layer sparsity under Global vs Layerwise ranking"),
     ("serving-latency", "Serving: pruned vs dense tail latency across offered loads (sb-serve, virtual clock)"),
     ("fault-recovery", "Robustness: seeded outage, breaker trip, pruned-model fallback, probe re-close (sb-serve + sb-fault)"),
@@ -296,6 +297,7 @@ fn render(id: &str, scale: Scale, paths: &OutputPaths) -> std::io::Result<String
         "inference-speedup" => sb_bench::figures::inference_speedup(scale, paths),
         "latency-attribution" => sb_bench::figures::latency_attribution(paths),
         "format-crossover" => sb_bench::figures::format_crossover(paths),
+        "cost-fit" => sb_bench::figures::cost_fit(paths),
         "sparsity-profile" => sb_bench::figures::sparsity_profile(paths),
         "serving-latency" => serving_latency(paths),
         "fault-recovery" => sb_bench::figures::fault_recovery(paths),

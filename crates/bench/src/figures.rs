@@ -802,11 +802,12 @@ pub fn latency_attribution(paths: &OutputPaths) -> io::Result<String> {
     let reps = 50;
 
     let mut out = String::from(
-        "Latency attribution: per-layer x kernel-format breakdown of realized inference wall-clock (LeNet-5, 8x global magnitude, batch 64).\n\n",
+        "Latency attribution: per-layer x kernel-format breakdown of realized inference wall-clock (LeNet-5, 8x global magnitude, batch 64), with the cost model's prediction beside each measured layer.\n\n",
     );
     let mut table = Table::new(vec![
-        "variant", "layer", "format", "calls", "self_ms", "share", "flops", "param_bytes",
+        "variant", "layer", "format", "calls", "self_ms", "pred_ms", "share", "flops", "param_bytes",
     ]);
+    let mut errors = Vec::new();
     sb_trace::set_override(Some(true));
     let mut pruned_flame = String::new();
     for (variant, opts) in [
@@ -839,17 +840,29 @@ pub fn latency_attribution(paths: &OutputPaths) -> io::Result<String> {
         else {
             continue;
         };
+        let (mut measured, mut predicted) = (0.0, 0.0);
         for layer in &infer.children {
             let Some(label) = layer.name.strip_prefix("layer:") else {
                 continue;
             };
             let (name, format) = label.rsplit_once(':').unwrap_or((label, "?"));
+            // The prediction is per sample; the span holds every sample
+            // of every rep.
+            let pred_ms = compiled
+                .plans()
+                .iter()
+                .find(|p| p.name == name)
+                .map_or(0.0, |p| p.predicted_ns * (x.dim(0) * reps) as f64 / 1e6);
+            let self_ms = layer.self_ticks as f64 / 1e6;
+            measured += self_ms;
+            predicted += pred_ms;
             table.row(vec![
                 variant.to_string(),
                 name.to_string(),
                 format.to_string(),
                 layer.count.to_string(),
-                format!("{:.3}", layer.self_ticks as f64 / 1e6),
+                format!("{self_ms:.3}"),
+                format!("{pred_ms:.3}"),
                 format!(
                     "{:.1}%",
                     100.0 * layer.total_ticks as f64 / infer.total_ticks.max(1) as f64
@@ -858,13 +871,22 @@ pub fn latency_attribution(paths: &OutputPaths) -> io::Result<String> {
                 layer.counter("bytes_moved").to_string(),
             ]);
         }
+        errors.push((variant, measured, predicted));
     }
     sb_trace::set_override(None);
     out.push_str(&table.to_markdown());
+    out.push_str("\nWhole-model prediction error (sum of predicted against sum of measured layer self-time):\n\n");
+    for (variant, measured, predicted) in errors {
+        let _ = writeln!(
+            out,
+            "- {variant}: measured {measured:.3} ms, predicted {predicted:.3} ms, error {:+.1}%",
+            100.0 * (predicted - measured) / measured.max(1e-9)
+        );
+    }
     out.push_str("\nCollapsed flamegraph of the pruned variant:\n");
     out.push_str(&pruned_flame);
     out.push_str(
-        "\nReading: the share column localizes the realized-speedup gap — a CSR layer whose FLOP count fell 8x but whose share barely moved is paying index overhead, while shrunk-dense layers convert their smaller FLOP count into a proportional share.\n",
+        "\nReading: the share column localizes the realized-speedup gap — a CSR layer whose FLOP count fell 8x but whose share barely moved is paying per-row overhead, while shrunk-dense layers convert their smaller FLOP count into a proportional share. pred_ms is the cost model's prediction (crates/infer/src/cost.rs, fitted at one runtime thread) for the same samples, so a layer whose measured time drifts from it shows where the fit no longer describes the kernel.\n",
     );
     save(paths, "latency-attribution", &out, Some(&table))?;
     Ok(out)
@@ -1006,10 +1028,10 @@ pub fn format_crossover(paths: &OutputPaths) -> io::Result<String> {
     out.push('\n');
     out.push_str(&table.to_markdown());
     let crossover_note = if crossover_ratios.is_empty() {
-        "on this run CSR held conv2 at every ratio (rerun — single-shot medians are noisy)".to_string()
+        "on this run CSR ran conv2 faster than BSR and bitmap at every ratio".to_string()
     } else {
         format!(
-            "on this run BSR or bitmap beat CSR on conv2 self-time at ratio(s) {} — the crossover the cost-model constants encode, pinned as a wall-clock floor in sb-infer's speed tests",
+            "on this run BSR or bitmap beat CSR on conv2 self-time at ratio(s) {}",
             crossover_ratios
                 .iter()
                 .map(|r| format!("{r}x"))
@@ -1018,9 +1040,224 @@ pub fn format_crossover(paths: &OutputPaths) -> io::Result<String> {
         )
     };
     out.push_str(&format!(
-        "\nReading: each point is a median-of-{k} whole-model forward against one shared dense-compiled baseline, timed in interleaved rounds (the dense row gauges measurement noise). The baseline runs the register-tiled dense kernel, so a sparse format has to beat a vectorized dense loop: CSR pays per-nonzero index chasing and only nears dense at extreme sparsity; BSR amortizes indexing over 4-wide vector lanes and beats CSR on the convolution layers at low-to-mid ratios; the bitmap kernel spends storage (dense values + occupancy masks) on a branch-free inner loop that closes in at high ratios; {crossover_note}.\n",
+        "\nReading: each point is a median-of-{k} whole-model forward against one shared dense-compiled baseline, timed in interleaved rounds (the dense row gauges measurement noise). The baseline runs the register-tiled dense kernel, so a sparse format has to beat a vectorized dense loop. CSR runs the direct sparse convolution on conv layers (no unfold) and a 4-row tile on the linear ones, so its time falls with its stored weights and it wins the whole model at high ratios; BSR and bitmap still pay the unfold and their own per-row and per-block costs; {crossover_note}. The auto row is the fitted cost model's pick per layer.\n",
     ));
     save(paths, "format-crossover", &out, Some(&table))?;
+    Ok(out)
+}
+
+/// The pruned models the cost model is fitted on: the end-to-end
+/// benchmark's four `infer` models, built with that benchmark's seeds,
+/// and the seven architectures of sb-infer's test zoo pruned by global
+/// magnitude at 2/4/8/16×.
+pub fn cost_fit_models() -> Vec<(String, sb_nn::models::Model)> {
+    use sb_nn::models;
+    use sb_tensor::Rng;
+    use shrinkbench::structured::FilterNorm;
+    use shrinkbench::{GlobalMagnitude, Pruner, Strategy};
+
+    let mut rng = Rng::seed_from(0xBE7C);
+    let pruned = |mut net: models::Model, strategy: &dyn Strategy, ratio: f64, rng: &mut Rng| {
+        Pruner::default()
+            .prune(&mut net, strategy, ratio, rng)
+            .expect("pruning a fresh network succeeds");
+        net
+    };
+    let mut out = vec![
+        (
+            "lenet300_16x".to_string(),
+            pruned(models::lenet_300_100(256, 10, &mut Rng::seed_from(1)), &GlobalMagnitude, 16.0, &mut rng),
+        ),
+        (
+            "lenet5_4x".to_string(),
+            pruned(models::lenet5(1, 16, 10, &mut Rng::seed_from(2)), &GlobalMagnitude, 4.0, &mut rng),
+        ),
+        (
+            "lenet5_filter4x".to_string(),
+            pruned(models::lenet5(1, 16, 10, &mut Rng::seed_from(3)), &FilterNorm, 4.0, &mut rng),
+        ),
+        (
+            "resnet20_8x".to_string(),
+            pruned(
+                models::resnet_cifar(20, 3, 16, 10, 4, &mut Rng::seed_from(4)),
+                &GlobalMagnitude,
+                8.0,
+                &mut rng,
+            ),
+        ),
+    ];
+    for ratio in [2.0, 4.0, 8.0, 16.0] {
+        // sb-infer's test zoo: the same constructors, in order, from one
+        // seed.
+        let mut zrng = Rng::seed_from(0xBEEF);
+        let zoo = vec![
+            ("lenet_300_100", models::lenet_300_100(256, 10, &mut zrng)),
+            ("lenet5", models::lenet5(1, 16, 10, &mut zrng)),
+            ("cifar_vgg", models::cifar_vgg(3, 16, 10, 4, &mut zrng)),
+            ("cifar_vgg_variant", models::cifar_vgg_variant(3, 16, 10, 4, &mut zrng)),
+            ("resnet8", models::resnet_cifar(8, 3, 16, 10, 4, &mut zrng)),
+            ("resnet18", models::resnet18(3, 16, 10, 4, &mut zrng)),
+            ("mlp", models::mlp(64, &[48, 24], 10, &mut zrng)),
+        ];
+        let mut prng = Rng::seed_from(ratio as u64);
+        for (name, net) in zoo {
+            out.push((format!("{name}@{ratio}x"), pruned(net, &GlobalMagnitude, ratio, &mut prng)));
+        }
+    }
+    out
+}
+
+/// The cost model's fit inputs and the fit: compiles every model of
+/// [`cost_fit_models`] forced into each format, traces `ROUNDS` rounds
+/// that each run one warm batch-64 forward of every case, and records per
+/// (layer, format) what
+/// the cost model counts beside the median self time per sample. The
+/// table is `figures/cost-fit.csv`, which `crates/infer/tests/cost_fit.rs`
+/// fits again; the text gives the fitted constants, each format's median
+/// relative error, and the formats the auto-compiler picks. Run it at
+/// `SB_RUNTIME_THREADS=1`, so that every block runs on one thread.
+pub fn cost_fit(paths: &OutputPaths) -> io::Result<String> {
+    use sb_infer::cost::{fit, Sample, MARGIN};
+    use sb_infer::{CompileOptions, CompiledModel, ExecFormat, FeatureShape};
+    use sb_tensor::{Rng, Tensor};
+
+    const ROUNDS: usize = 9;
+    const BATCH: usize = 64;
+    let models = cost_fit_models();
+    let mut rng = Rng::seed_from(0xC057);
+    // (model, forced format, compiled, input)
+    let mut cases = Vec::new();
+    for (name, net) in &models {
+        for format in ExecFormat::ALL {
+            let opts = CompileOptions {
+                force_format: Some(format),
+                ..CompileOptions::default()
+            };
+            let compiled = CompiledModel::compile(net, &opts);
+            let dims = match compiled.input_shape() {
+                FeatureShape::Flat { d } => vec![BATCH, d],
+                FeatureShape::Image { c, h, w } => vec![BATCH, c, h, w],
+            };
+            let x = Tensor::rand_normal(&dims, 0.0, 1.0, &mut rng);
+            cases.push((name.as_str(), format, compiled, x));
+        }
+    }
+    // Per case, per layer: the self ns per sample of each round.
+    let mut times: Vec<Vec<Vec<f64>>> =
+        cases.iter().map(|c| vec![Vec::new(); c.2.plans().len()]).collect();
+    // Rounds sweep every case, so a burst of load on the host lands in
+    // one sample of each case rather than in all samples of a few; each
+    // measured forward follows an unmeasured one of the same case, so its
+    // weights and scratch are cached, as when the model serves.
+    sb_trace::set_override(Some(true));
+    for round in 0..=ROUNDS {
+        for (case, per_layer) in cases.iter().zip(&mut times) {
+            std::hint::black_box(case.2.forward(&case.3));
+            let _ = sb_trace::take_report();
+            {
+                let _span = sb_trace::span("cost-fit");
+                std::hint::black_box(case.2.forward(&case.3));
+            }
+            let trace = sb_trace::take_report();
+            if round == 0 {
+                continue; // warm-up
+            }
+            let Some(infer) = trace
+                .roots
+                .iter()
+                .find(|r| r.name == "cost-fit")
+                .and_then(|r| r.children.iter().find(|c| c.name == "infer"))
+            else {
+                continue;
+            };
+            for (plan, t) in case.2.plans().iter().zip(per_layer.iter_mut()) {
+                let label = format!("layer:{}:{}", plan.name, plan.format.label());
+                let ns: u64 = infer.children.iter().filter(|c| c.name == label).map(|c| c.self_ticks).sum();
+                t.push(ns as f64 / BATCH as f64);
+            }
+        }
+    }
+    sb_trace::set_override(None);
+
+    let mut table = Table::new(vec![
+        "model", "layer", "forced", "format", "kind", "rows", "cols", "nnz", "blocks", "words",
+        "spatial", "stride", "tap_rows", "tap_pixels", "ns_per_sample",
+    ]);
+    let mut samples = Vec::new();
+    for (case, per_layer) in cases.iter().zip(&mut times) {
+        for (plan, t) in case.2.plans().iter().zip(per_layer.iter_mut()) {
+            t.sort_by(f64::total_cmp);
+            let ns = t[t.len() / 2];
+            let st = plan.stats;
+            samples.push(Sample {
+                stats: st,
+                format: plan.format,
+                ns,
+            });
+            table.row(vec![
+                case.0.to_string(),
+                plan.name.clone(),
+                case.1.label().to_string(),
+                plan.format.label().to_string(),
+                if st.conv { "conv" } else { "linear" }.to_string(),
+                st.rows.to_string(),
+                st.cols.to_string(),
+                st.nnz.to_string(),
+                st.blocks.to_string(),
+                st.words.to_string(),
+                st.spatial.to_string(),
+                st.stride.to_string(),
+                st.tap_rows.to_string(),
+                st.tap_pixels.to_string(),
+                format!("{ns:.1}"),
+            ]);
+        }
+    }
+
+    let fitted = fit(&samples);
+    let mut out = format!(
+        "Cost-model fit: per-layer self time per sample of {} pruned models, each compiled forced into every format, median of {ROUNDS} rounds that each trace one warm batch-64 forward of every case (after an unmeasured one), at {} runtime thread(s).\n\nConstants, ns per unit (non-negative least squares on relative error, two significant digits; crates/infer/src/cost.rs holds them and crates/infer/tests/cost_fit.rs checks them against this table):\n\n",
+        models.len(),
+        sb_runtime::effective_parallelism(),
+    );
+    let mut consts = Table::new(vec!["term", "unit", "ns", "layers", "median_rel_err"]);
+    for f in &fitted {
+        let mut e = f.errors(&samples);
+        e.sort_by(f64::total_cmp);
+        let median = e.get(e.len() / 2).map_or("-".to_string(), |m| format!("{m:.3}"));
+        for (unit, c) in f.term.units().iter().zip(&f.constants) {
+            consts.row(vec![
+                f.term.label().to_string(),
+                unit.to_string(),
+                format!("{c}"),
+                f.samples.to_string(),
+                median.clone(),
+            ]);
+        }
+    }
+    out.push_str(&consts.to_markdown());
+    out.push_str("\nMedian relative error of the fit, per format:\n\n");
+    let mut errs = Table::new(vec!["format", "layers", "median_rel_err"]);
+    let mut worst: f64 = 0.0;
+    for format in ExecFormat::ALL {
+        let of_format: Vec<Sample> = samples.iter().copied().filter(|s| s.format == format).collect();
+        let mut e: Vec<f64> = fitted.iter().flat_map(|f| f.errors(&of_format)).collect();
+        if e.is_empty() {
+            continue;
+        }
+        e.sort_by(f64::total_cmp);
+        let median = e[e.len() / 2];
+        worst = worst.max(median);
+        errs.row(vec![format.label().to_string(), e.len().to_string(), format!("{median:.3}")]);
+    }
+    out.push_str(&errs.to_markdown());
+    let _ = writeln!(
+        out,
+        "\nMargin: a sparse format is picked only when predicted at least {:.0}% faster than the dense lane; the largest median error above is {:.1}%.",
+        MARGIN * 100.0,
+        worst * 100.0
+    );
+    save(paths, "cost-fit", &out, Some(&table))?;
     Ok(out)
 }
 

@@ -15,80 +15,10 @@
 //! exactly zero (padded convolutions, where padding pixels and dropped
 //! channels would need different constants).
 
+use crate::cost::{LayerStats, MARGIN};
 use crate::plan::{ExecFormat, FeatureShape, Kernel, LayerPlan, Planned, Step};
 use sb_nn::{models::Model, LayerSpec, Network};
 use sb_tensor::{Conv2dGeometry, PackedRhs, SparseMatrix, Tensor};
-
-// Cost-model constants: relative cost of each format's unit of work
-// against one lane of the *retired scalar* dense kernel (one multiply-add
-// of the single-accumulator dot product the `Dense` format used to run,
-// ~0.6 ns on the calibration host). The values are measured on the
-// `realized` bench's conv-row kernels
-// (`cargo bench -p sb-bench --bench realized`, "conv-row-kernels" group)
-// and sanity-pinned by the crossover regression test in
-// `crates/infer/tests/formats.rs`; see DESIGN.md for the derivation.
-// Per-row fits drift ±20% between runs on a shared host, so the
-// constants are rounded, not exact — the regression test pins the
-// *regime structure*, not the third decimal.
-//
-// The `Dense` format now runs sb-tensor's register tile over weights
-// packed at compile time, at 0.1–0.4 ns per multiply-add, but
-// `Compiler::choose` still charges it 1.0 per lane. Against the tile
-// these constants underprice every sparse format, so the cost model
-// picks some formats that run slower than dense (in the end-to-end
-// benchmark, LeNet-5 at 4× unstructured compiles to BSR and bitmap and
-// takes 6.0 ms per batch-64 forward against 3.5 ms forced dense, on a
-// 2-vCPU x86-64 host). Until the constants are re-fit in tiled units,
-// they keep their scalar-lane values so that every compiled format stays
-// as it was.
-
-/// Relative per-MAC cost of the CSR kernel vs. a scalar dense lane: the
-/// indirect column load and the serial accumulate make a stored nonzero
-/// ~1.3× a scalar lane on the calibration host.
-const CSR_MAC_COST: f64 = 1.3;
-
-/// Fixed per-output-row overhead (row-pointer loads, short-row ramp-up,
-/// bias) charged to CSR. This is what bitmap undercuts on short rows.
-const CSR_ROW_COST: f64 = 5.0;
-
-/// Per-lane cost of a stored BSR block lane. The block inner loop keeps
-/// per-lane vector accumulators (no horizontal reduction per block), so
-/// a stored lane runs ~2× *faster* than a lane of the retired scalar
-/// dense kernel — which is why the model lets BSR win even at moderate
-/// occupancy. The register-tiled dense kernel is faster per lane than
-/// BSR: forced-BSR LeNet-5 at 16× runs at 0.75–0.86× of forced dense.
-const BSR_LANE_COST: f64 = 0.5;
-
-/// Per-block overhead of the BSR kernel: one column-index load and the
-/// input-slice setup, amortized across [`crate::formats::BSR_BLOCK_W`]
-/// lanes.
-const BSR_BLOCK_COST: f64 = 0.4;
-
-/// Fixed per-output-row overhead (block-pointer loads, lane fold,
-/// right-edge peel, bias) for BSR.
-const BSR_ROW_COST: f64 = 4.0;
-
-/// Per-set-bit cost of the bitmap kernel: `trailing_zeros` + clear +
-/// two indexed loads. Slightly over a scalar dense lane, but with no
-/// index array to stream — the win over CSR comes from the row terms.
-const BITMAP_MAC_COST: f64 = 1.1;
-
-/// Per-64-column-word scan cost of the bitmap kernel; this fixed floor
-/// (one word load + test per 64 columns, even when empty) is what lets
-/// CSR win back the extreme-sparsity regime.
-const BITMAP_WORD_COST: f64 = 3.0;
-
-/// Fixed per-output-row overhead (mask row setup, bias) for bitmap.
-const BITMAP_ROW_COST: f64 = 0.5;
-
-/// Per-lane cost credited to a shrunk-dense lane. The kernel itself is
-/// the dense kernel (1.0 in these units), but shrinking a layer's rows also
-/// deletes the matching *columns of its consumer* — a cross-layer saving
-/// the per-layer comparison cannot see. The credit keeps structured
-/// layers on the shrunk path, where that propagation actually happens,
-/// instead of letting BSR (which keeps the full input width) undercut
-/// them layer-locally.
-const SHRUNK_LANE_COST: f64 = 0.5;
 
 /// Knobs for [`CompiledModel::compile`](crate::CompiledModel::compile).
 #[derive(Debug, Clone)]
@@ -125,9 +55,11 @@ pub struct CompiledModel {
     pub(crate) batch_block: usize,
     /// Largest per-sample activation any step reads or writes.
     pub(crate) max_act: usize,
-    /// Largest per-sample im2col patch matrix any conv needs.
+    /// Largest per-sample im2col patch matrix any lowered conv needs (a
+    /// CSR conv runs direct and needs none).
     pub(crate) max_patch: usize,
-    /// Largest per-sample `[oh·ow, out_c]` row matrix any conv needs.
+    /// Largest per-sample `[oh·ow, out_c]` row matrix any lowered conv
+    /// needs.
     pub(crate) max_rows: usize,
     plans: Vec<LayerPlan>,
 }
@@ -493,12 +425,12 @@ impl Compiler<'_> {
             "linear '{name}' input shape mismatch"
         );
         let dense_macs = (out_f * full_in) as u64;
-        let choice = self.choose(&w, &b, rest);
-        let format = choice.format;
+        let choice = self.choose(&w, &b, rest, None);
+        let (format, stats) = (choice.format, choice.stats);
         let (kernel, bias_vec, new_carry, effective) = build_kernel(choice, w, b, out_f);
         *carry = new_carry;
         let plan_out = kernel.out_features();
-        self.record_plan(name, format, &kernel, &bias_vec, dense_macs, effective, 1);
+        self.record_plan(name, format, stats, &kernel, &bias_vec, dense_macs, effective);
         self.pending_label = Some(format!("{name}:{}", format.label()));
         (
             Step::Matmul {
@@ -537,15 +469,19 @@ impl Compiler<'_> {
         let (oh, ow) = (geom.out_h(), geom.out_w());
         let spatial = oh * ow;
         let dense_macs = (out_channels * full_patch * spatial) as u64;
-        let choice = self.choose(&w, &b, rest);
-        let format = choice.format;
+        let choice = self.choose(&w, &b, rest, Some(&geom));
+        let (format, stats) = (choice.format, choice.stats);
         let (kernel, bias_vec, new_carry, effective) = build_kernel(choice, w, b, out_channels);
         *carry = new_carry;
         let out_c = kernel.out_features();
-        self.record_plan(name, format, &kernel, &bias_vec, dense_macs, effective, spatial);
+        self.record_plan(name, format, stats, &kernel, &bias_vec, dense_macs, effective * spatial as u64);
         self.pending_label = Some(format!("{name}:{}", format.label()));
-        self.max_patch = self.max_patch.max(spatial * geom.patch_len());
-        self.max_rows = self.max_rows.max(spatial * out_c);
+        // The direct CSR convolution writes NCHW output from the input
+        // itself: no patch matrix, no product rows.
+        if format != ExecFormat::Csr {
+            self.max_patch = self.max_patch.max(spatial * geom.patch_len());
+            self.max_rows = self.max_rows.max(spatial * out_c);
+        }
         let out = FeatureShape::Image {
             c: out_c,
             h: oh,
@@ -562,104 +498,69 @@ impl Compiler<'_> {
         )
     }
 
-    /// Cost-model format choice over the (column-restricted) weight data.
+    /// Cost-model format choice over the (column-restricted) weight data
+    /// of a linear layer, or of a conv with `geom`.
     ///
-    /// The costs are per output pixel, so a conv's spatial extent scales
-    /// every candidate equally and is omitted. The crossover structure
-    /// (pinned by `crates/infer/tests/formats.rs`): unpruned → Dense (the
-    /// bit-exact reference path is never displaced when there is nothing
-    /// to skip), extreme sparsity → CSR (the bitmap word-scan floor and
-    /// the BSR occupancy blow-up both lose to CSR's pure-nonzero cost),
-    /// short-row mid sparsity → Bitmap (CSR's per-row ramp-up dominates
-    /// short rows), high occupancy or block-clustered sparsity → BSR
-    /// (vector-lane blocks ran ~2× the retired scalar dense lane), structured
-    /// zero rows → ShrunkDense (the only format whose saving propagates
-    /// into the consumer's columns).
-    fn choose(&self, w: &Tensor, bias: &[f32], rest: &[LayerSpec]) -> Choice {
+    /// Each format's time per sample is predicted in nanoseconds
+    /// ([`LayerStats::predict_ns`]). The dense lane (dense, or shrunk when
+    /// the layer has zero rows its consumer can absorb) takes the cheaper
+    /// of its two; a sparse format replaces it only when predicted at
+    /// least [`MARGIN`] faster. An unpruned layer always stays dense: there
+    /// is nothing to skip, and dense is the bit-exact reference path. The
+    /// regimes this gives are pinned by `crates/infer/tests/formats.rs`.
+    fn choose(
+        &self,
+        w: &Tensor,
+        bias: &[f32],
+        rest: &[LayerSpec],
+        geom: Option<&Conv2dGeometry>,
+    ) -> Choice {
         let (out_f, in_cols) = (w.dim(0), w.dim(1));
-        let data = w.data();
-        let nnz = data.iter().filter(|&&v| v != 0.0).count();
-        let mut zero_rows = Vec::new();
-        let mut kept = Vec::new();
-        let mut live_blocks = 0usize;
-        for r in 0..out_f {
-            let row = &data[r * in_cols..(r + 1) * in_cols];
+        let stats = LayerStats::of(w, geom);
+        let nnz = stats.nnz;
+        let (mut zero_rows, mut kept) = (Vec::new(), Vec::new());
+        for (r, row) in w.data().chunks_exact(in_cols.max(1)).take(out_f).enumerate() {
             if row.iter().all(|&v| v == 0.0) {
                 zero_rows.push(r);
             } else {
                 kept.push(r);
             }
-            live_blocks += row
-                .chunks(crate::formats::BSR_BLOCK_W)
-                .filter(|b| b.iter().any(|&v| v != 0.0))
-                .count();
         }
         let dropped: Vec<(usize, f32)> = zero_rows.iter().map(|&r| (r, bias[r])).collect();
         let eligible =
             !zero_rows.is_empty() && !kept.is_empty() && shrink_eligible(rest, &dropped);
-        let cost_dense = (out_f * in_cols) as f64;
-        let cost_csr = nnz as f64 * CSR_MAC_COST + out_f as f64 * CSR_ROW_COST;
-        let cost_shrunk = (kept.len() * in_cols) as f64 * SHRUNK_LANE_COST;
-        let cost_bsr = (live_blocks * crate::formats::BSR_BLOCK_W) as f64 * BSR_LANE_COST
-            + live_blocks as f64 * BSR_BLOCK_COST
-            + out_f as f64 * BSR_ROW_COST;
-        let cost_bitmap = nnz as f64 * BITMAP_MAC_COST
-            + (out_f * in_cols.div_ceil(64)) as f64 * BITMAP_WORD_COST
-            + out_f as f64 * BITMAP_ROW_COST;
+        let shrunk = LayerStats {
+            rows: kept.len(),
+            ..stats
+        };
+        // A forced sparse format with nothing stored falls back to Dense
+        // rather than emit an empty blocked or bitmap kernel (the
+        // degenerate-case contract in tests/formats.rs).
         let format = match self.opts.force_format {
-            Some(ExecFormat::Dense) => ExecFormat::Dense,
-            Some(ExecFormat::Csr) => ExecFormat::Csr,
-            Some(ExecFormat::ShrunkDense) => {
-                if eligible {
-                    ExecFormat::ShrunkDense
-                } else {
-                    ExecFormat::Dense
-                }
-            }
-            // A fully-pruned weight has no live blocks and no set bits;
-            // rather than emit an empty blocked/bitmap kernel, fall back
-            // to Dense (the degenerate-case contract in tests/formats.rs).
-            Some(ExecFormat::Bsr) => {
-                if nnz > 0 {
-                    ExecFormat::Bsr
-                } else {
-                    ExecFormat::Dense
-                }
-            }
-            Some(ExecFormat::Bitmap) => {
-                if nnz > 0 {
-                    ExecFormat::Bitmap
-                } else {
-                    ExecFormat::Dense
-                }
-            }
-            None if nnz == out_f * in_cols => {
-                // An unpruned layer has nothing to skip: no format can
-                // drop work, and dense-compiled execution is the
-                // bit-exact reference path. Never displace it.
-                ExecFormat::Dense
-            }
+            Some(ExecFormat::ShrunkDense) if !eligible => ExecFormat::Dense,
+            Some(ExecFormat::Bsr | ExecFormat::Bitmap) if nnz == 0 => ExecFormat::Dense,
+            Some(forced) => forced,
+            None if nnz == out_f * in_cols => ExecFormat::Dense,
             None => {
-                // Fixed evaluation order; strict `<` means ties resolve
-                // to the earlier (simpler) format, Dense first.
-                let mut best = (cost_dense, ExecFormat::Dense);
-                if cost_csr < best.0 {
-                    best = (cost_csr, ExecFormat::Csr);
+                let mut lane = (stats.predict_ns(ExecFormat::Dense), ExecFormat::Dense);
+                if eligible && shrunk.predict_ns(ExecFormat::ShrunkDense) < lane.0 {
+                    lane = (shrunk.predict_ns(ExecFormat::ShrunkDense), ExecFormat::ShrunkDense);
                 }
-                if nnz > 0 && cost_bsr < best.0 {
-                    best = (cost_bsr, ExecFormat::Bsr);
-                }
-                if nnz > 0 && cost_bitmap < best.0 {
-                    best = (cost_bitmap, ExecFormat::Bitmap);
-                }
-                if eligible && cost_shrunk < best.0 {
-                    best = (cost_shrunk, ExecFormat::ShrunkDense);
+                // Fixed order; strict `<` resolves ties to the earlier
+                // format.
+                let mut best = (lane.0 * (1.0 - MARGIN), lane.1);
+                for f in [ExecFormat::Csr, ExecFormat::Bsr, ExecFormat::Bitmap] {
+                    let cost = stats.predict_ns(f);
+                    if (f == ExecFormat::Csr || nnz > 0) && cost < best.0 {
+                        best = (cost, f);
+                    }
                 }
                 best.1
             }
         };
         Choice {
             format,
+            stats: if format == ExecFormat::ShrunkDense { shrunk } else { stats },
             kept,
             dropped,
         }
@@ -670,18 +571,20 @@ impl Compiler<'_> {
         &mut self,
         name: &str,
         format: ExecFormat,
+        stats: LayerStats,
         kernel: &Kernel,
         bias: &[f32],
         dense_macs: u64,
         effective_macs: u64,
-        spatial: usize,
     ) {
         self.plans.push(LayerPlan {
             name: name.to_string(),
             format,
             dense_macs,
-            effective_macs: effective_macs * spatial as u64,
+            effective_macs,
             storage_bytes: kernel.param_bytes() + bias.len() * 4,
+            stats,
+            predicted_ns: stats.predict_ns(format),
         });
     }
 }
@@ -748,6 +651,8 @@ fn build_kernel(
 
 struct Choice {
     format: ExecFormat,
+    /// The counts the cost model priced the chosen format on.
+    stats: LayerStats,
     kept: Vec<usize>,
     /// `(row, bias)` of all-zero rows — the constants a shrink would carry.
     dropped: Vec<(usize, f32)>,

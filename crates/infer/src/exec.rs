@@ -6,20 +6,26 @@
 //! boundaries and every kernel visits its inputs in a fixed index order,
 //! so the logits are byte-identical for any `SB_RUNTIME_THREADS` value.
 //!
-//! A conv step unfolds with `sb_tensor::im2col_into`, the loop `Conv2d`
-//! runs, and reorders with `sb_tensor::rows_to_nchw`. Every other kernel
-//! replicates the float order of its eval-mode layer in `sb-nn` (k-
-//! ascending dot products, bias added after the full accumulation,
+//! A CSR conv step runs `sb_tensor::sparse_conv_into`, the direct sparse
+//! convolution, straight from the input activations into NCHW output.
+//! Every other conv step unfolds with `sb_tensor::im2col_into`, the loop
+//! `Conv2d` runs, multiplies the patch rows, and reorders with
+//! `sb_tensor::rows_to_nchw`. CSR linear steps run sb-tensor's row-tiled
+//! `SparseMatrix::matmul_rows`. Every kernel keeps the float order of the
+//! eval-mode layer in `sb-nn` (each output's products added in ascending
+//! patch column from `+0.0`, bias added after the full accumulation,
 //! unfused batch-norm arithmetic), so a dense-compiled model reproduces
-//! `Model::forward` exactly, not just approximately.
+//! `Model::forward` exactly, not just approximately, and a CSR-compiled
+//! one matches it bit for bit on finite inputs.
 
 use crate::compile::CompiledModel;
 use crate::plan::{FeatureShape, Kernel, Planned, Step};
-use sb_tensor::{im2col_into, rows_to_nchw, PackedRhs, Tensor};
+use sb_tensor::{im2col_into, rows_to_nchw, sparse_conv_into, PackedRhs, Tensor};
 use std::sync::Mutex;
 
 /// Per-worker scratch: activation ping-pong buffers, a residual stash,
-/// and conv im2col/row staging, all sized once for the worst-case layer.
+/// and im2col/row staging for the convs that lower to a product (CSR
+/// convs need none), all sized once for the worst-case layer.
 struct Scratch {
     cur: Vec<f32>,
     tmp: Vec<f32>,
@@ -230,10 +236,21 @@ fn apply_step(
             let _layer = sb_trace::span_with(|| format!("layer:{}", p.label));
             sb_trace::add(sb_trace::CounterId::Flops, kernel.macs() * (b * spatial) as u64);
             sb_trace::add(sb_trace::CounterId::BytesMoved, kernel.param_bytes() as u64);
-            let (plen, out_len) = (geom.patch_len(), b * p.out_shape.numel());
-            im2col_into(&cur[..b * p.in_shape.numel()], geom, &mut patch[..b * spatial * plen]);
-            matmul_rows(kernel, bias, &patch[..b * spatial * plen], plen, &mut rows[..out_len]);
-            rows_to_nchw(&rows[..out_len], *out_c, spatial, &mut tmp[..out_len]);
+            let (x, plen) = (&cur[..b * p.in_shape.numel()], geom.patch_len());
+            let y = &mut tmp[..b * p.out_shape.numel()];
+            if let Kernel::Csr(s) = kernel {
+                sparse_conv_into(x, s, geom, y);
+                for (plane, &bc) in y.chunks_exact_mut(spatial).zip(bias.iter().cycle()) {
+                    for o in plane {
+                        *o += bc;
+                    }
+                }
+            } else {
+                let rows = &mut rows[..y.len()];
+                im2col_into(x, geom, &mut patch[..b * spatial * plen]);
+                matmul_rows(kernel, bias, &patch[..b * spatial * plen], plen, rows);
+                rows_to_nchw(rows, *out_c, spatial, y);
+            }
             std::mem::swap(cur, tmp);
         }
         Step::MaxPool { kernel, stride } => {
@@ -264,20 +281,12 @@ fn apply_step(
 
 /// `y[r] = x[r] · Wᵀ + bias` over `rows = len/in_d` rows, k-ascending.
 fn matmul_rows(kernel: &Kernel, bias: &[f32], x: &[f32], in_d: usize, y: &mut [f32]) {
-    let out_d = bias.len();
     match kernel {
         Kernel::Dense(w) => dense_rows(w, bias, x, y),
         Kernel::Csr(s) => {
-            for (xr, yr) in x.chunks_exact(in_d).zip(y.chunks_exact_mut(out_d)) {
-                for (j, o) in yr.iter_mut().enumerate() {
-                    let (cols, vals) = s.row(j);
-                    let mut acc = 0.0f32;
-                    for (&ci, &v) in cols.iter().zip(vals) {
-                        acc += v * xr[ci as usize];
-                    }
-                    *o = acc + bias[j];
-                }
-            }
+            debug_assert_eq!(s.cols(), in_d, "CSR kernel input width");
+            s.matmul_rows(x, y);
+            add_bias(y, bias);
         }
         Kernel::Bsr(b) => {
             debug_assert_eq!(b.cols(), in_d, "BSR kernel input width");
@@ -294,13 +303,17 @@ fn matmul_rows(kernel: &Kernel, bias: &[f32], x: &[f32], in_d: usize, y: &mut [f
 /// compile time, then the bias, so each output is `acc + bias[j]` with
 /// `acc` the k-ascending dot product — `Model::forward`'s bits.
 ///
-/// Kept out of line, so that the tile's call and bias loop stay out of
-/// the function that holds the CSR loop. The sparse kernels' speed still
-/// moves with code placement, not just with their code: see the "dense
-/// lane" notes in DESIGN.md.
+/// Kept out of line. Inlining it would move every kernel in the binary,
+/// and kernel speeds follow placement: measure such a change across
+/// layouts with `scripts/ab.sh` (see DESIGN.md).
 #[inline(never)]
 fn dense_rows(w: &PackedRhs, bias: &[f32], x: &[f32], y: &mut [f32]) {
     w.matmul_rows(x, y);
+    add_bias(y, bias);
+}
+
+/// Adds `bias[j]` to output `j` of every `[bias.len()]` row of `y`.
+fn add_bias(y: &mut [f32], bias: &[f32]) {
     for yr in y.chunks_exact_mut(bias.len()) {
         for (o, &b) in yr.iter_mut().zip(bias) {
             *o += b;

@@ -13,13 +13,16 @@
 //!
 //! [`CompiledModel::compile`] lowers a trained + pruned model's
 //! eval-mode [`sb_nn::LayerSpec`] chain into per-layer kernels, picking a
-//! storage format per weight-bearing layer with a cost model:
+//! storage format per weight-bearing layer with a cost model fitted in
+//! nanoseconds per sample ([`cost`]):
 //!
 //! * [`ExecFormat::Dense`] — the weights packed once into the panels of
 //!   sb-tensor's register tile ([`sb_tensor::PackedRhs`]), the same tile
 //!   that runs every training forward; the baseline and the fallback.
-//! * [`ExecFormat::Csr`] — compressed sparse rows, profitable once
-//!   unstructured pruning pushes density below the CSR break-even point.
+//! * [`ExecFormat::Csr`] — compressed sparse rows. A linear layer runs
+//!   sb-tensor's row tile ([`sb_tensor::SparseMatrix::matmul_rows`]); a
+//!   conv runs the direct sparse convolution
+//!   ([`sb_tensor::sparse_conv_into`]), which needs no unfold.
 //! * [`ExecFormat::ShrunkDense`] — rows zeroed by *structured* (filter)
 //!   pruning are physically dropped and the shrink propagates into the
 //!   next layer's columns, turning channel sparsity into plain smaller
@@ -29,17 +32,17 @@
 //! * [`ExecFormat::Bsr`] — blocked-sparse rows
 //!   ([`formats::BsrMatrix`], fixed block width
 //!   [`formats::BSR_BLOCK_W`]): one column index per block of contiguous
-//!   lanes, so the per-nonzero index overhead that dominates CSR conv
-//!   layers is amortized and the block inner loop streams like dense.
+//!   lanes over unfolded patch rows.
 //! * [`ExecFormat::Bitmap`] — dense values plus a per-row occupancy
-//!   bitmask ([`formats::BitmapMatrix`]): a branch-free set-bit loop for
-//!   the mid-sparsity regime where CSR loses to dense streaming.
+//!   bitmask ([`formats::BitmapMatrix`]): a branch-free set-bit loop over
+//!   unfolded patch rows.
 //!
 //! Execution is batched, parallelized over batch blocks via
 //! `sb-runtime`, reuses preplanned scratch buffers (no allocation in the
 //! forward loop, no gradient state), and is **bit-identical for any
 //! `SB_RUNTIME_THREADS`**. A dense-compiled model replicates the exact
-//! floating-point operation order of `Model::forward` in eval mode, so
+//! floating-point operation order of `Model::forward` in eval mode, and a
+//! CSR-compiled one matches it bit for bit on finite inputs, so
 //! compiled-vs-dense parity is a hard testable contract rather than an
 //! aspiration.
 //!
@@ -60,6 +63,7 @@
 //! ```
 
 mod compile;
+pub mod cost;
 mod exec;
 pub mod formats;
 mod plan;

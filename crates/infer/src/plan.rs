@@ -44,8 +44,9 @@ pub enum ExecFormat {
     /// Dense weights, packed once at compile time into the panels of
     /// sb-tensor's register tile ([`sb_tensor::PackedRhs`]).
     Dense,
-    /// Compressed sparse rows ([`SparseMatrix`]); wins when unstructured
-    /// pruning leaves few enough nonzeros to beat dense streaming.
+    /// Compressed sparse rows ([`SparseMatrix`]): the row tile for a
+    /// linear layer, the direct sparse convolution for a conv; wins when
+    /// unstructured pruning leaves few enough nonzeros to beat the tile.
     Csr,
     /// Physically smaller dense weights: rows zeroed by structured pruning
     /// are dropped and the shrink propagates into the next layer's columns.
@@ -56,9 +57,9 @@ pub enum ExecFormat {
     /// loads contiguous across each im2col patch row.
     Bsr,
     /// Dense values plus a per-row occupancy bitmask
-    /// ([`crate::formats::BitmapMatrix`]); the branch-free set-bit loop
-    /// wins at mid sparsity where CSR's per-nonzero overhead loses to
-    /// dense streaming.
+    /// ([`crate::formats::BitmapMatrix`]), run by a branch-free set-bit
+    /// loop; aimed at mid sparsity, where the fitted cost model has yet
+    /// to find it faster than dense or CSR.
     Bitmap,
 }
 
@@ -112,7 +113,8 @@ impl Kernel {
     }
 
     /// Multiply-accumulates one input row costs in this format (a conv
-    /// kernel's "row" is one output pixel's im2col patch). BSR counts
+    /// kernel's "row" is one output pixel's patch, which the direct CSR
+    /// convolution never builds but counts the same way). BSR counts
     /// every stored lane — the kernel multiplies zeros inside live
     /// blocks — while bitmap counts exactly its set bits.
     pub(crate) fn macs(&self) -> u64 {
@@ -142,7 +144,8 @@ impl Kernel {
 pub(crate) enum Step {
     /// `y = x · Wᵀ + b` on flat features.
     Matmul { kernel: Kernel, bias: Vec<f32> },
-    /// im2col → `rows · Wᵀ + b` → NCHW reorder.
+    /// Direct sparse convolution for a CSR kernel; otherwise im2col →
+    /// `rows · Wᵀ + b` → NCHW reorder.
     Conv {
         kernel: Kernel,
         bias: Vec<f32>,
@@ -196,4 +199,9 @@ pub struct LayerPlan {
     pub effective_macs: u64,
     /// Bytes the compiled weight + bias occupy.
     pub storage_bytes: usize,
+    /// What the cost model counted in the compiled layer.
+    pub stats: crate::cost::LayerStats,
+    /// The cost model's predicted time per sample in the chosen format,
+    /// ns.
+    pub predicted_ns: f64,
 }

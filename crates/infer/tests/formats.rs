@@ -13,17 +13,19 @@
 //!    including all-zero rows (which must still emit their bias),
 //!    single-live-block rows, and right-edge partial blocks.
 //! 3. **The cost model flips formats at the right crossovers.** A
-//!    synthetic single-layer sweep pins the regime structure: unpruned →
-//!    Dense, extreme sparsity → CSR, short-row mid sparsity → Bitmap,
-//!    block-clustered or high-occupancy sparsity → BSR, and a
-//!    fully-pruned layer falls back to Dense rather than emitting an
-//!    empty blocked/bitmap kernel.
+//!    synthetic single-layer sweep pins the regimes of the fitted model
+//!    (predicted ns per sample, `crates/infer/src/cost.rs`): unpruned →
+//!    Dense, extreme or block-clustered sparsity → CSR, short-row mid
+//!    sparsity and high-occupancy sparsity → Dense, a sparse 3×3 conv on
+//!    16×16 planes → CSR, a strided 1×1 conv and LeNet-5's conv2 at mid
+//!    density → Dense, and a fully-pruned layer falls back to Dense
+//!    rather than emitting an empty blocked/bitmap kernel.
 
 use sb_check::{check, prop_assert, prop_assert_eq, Config, Rng};
 use sb_infer::formats::{BitmapMatrix, BsrMatrix, BSR_BLOCK_W};
 use sb_infer::{CompileOptions, CompiledModel, ExecFormat};
-use sb_nn::{models::Model, Linear, Network, ParamKind, Sequential};
-use sb_tensor::Tensor;
+use sb_nn::{models::Model, Conv2d, Flatten, Linear, Network, ParamKind, Sequential};
+use sb_tensor::{Conv2dGeometry, Tensor};
 
 /// Pinned suite seed (sb-check convention: one suite constant per crate
 /// area; the exec-format suite owns `_000A`).
@@ -291,9 +293,11 @@ fn fully_pruned_layer_falls_back_to_dense_not_empty_kernel() {
 
 // --- Cost-model crossover regression ---------------------------------
 //
-// The constants in compile.rs were calibrated on the `realized` bench's
-// conv-row kernels; these pins freeze the *regime structure* so a future
-// constant tweak that flips a regime fails loudly.
+// The constants in cost.rs are the fit of figures/cost-fit.csv (pinned by
+// tests/cost_fit.rs); these pins freeze the *regime structure* so that a
+// re-fit that flips a regime fails loudly. Each comment gives the
+// fitted model's predictions in ns per sample; a sparse format must be
+// predicted 20% (`cost::MARGIN`) under the dense lane to be picked.
 
 #[test]
 fn crossover_unpruned_layer_stays_dense() {
@@ -310,26 +314,85 @@ fn crossover_extreme_sparsity_picks_csr() {
 }
 
 #[test]
-fn crossover_short_row_mid_sparsity_picks_bitmap() {
-    // 25% density on 32-wide rows: one mask word per row undercuts
-    // CSR's per-row ramp-up.
+fn crossover_short_row_mid_sparsity_stays_dense() {
+    // 25% density on 32-wide rows: dense 133, CSR 151, bitmap 442, BSR
+    // 554. The tile's 0.13 ns per multiply-add leaves no sparse format
+    // enough to win on rows this short.
     let model = single_linear_model(32, 32, |_, c| c % 4 == 0);
-    assert_eq!(chosen_format(&model), ExecFormat::Bitmap);
+    assert_eq!(chosen_format(&model), ExecFormat::Dense);
 }
 
 #[test]
-fn crossover_block_clustered_sparsity_picks_bsr() {
-    // 12.5% density but aligned to 4-wide blocks: BSR stores exactly the
-    // nonzeros and streams them at vector-lane speed.
+fn crossover_block_clustered_sparsity_picks_csr() {
+    // 12.5% density aligned to 4-wide blocks: CSR 225, BSR 277, dense
+    // 532, bitmap 720. BSR stores exactly the nonzeros, but the row
+    // tile's 0.39 ns per entry undercuts its 1.2 ns per block.
     let model = single_linear_model(16, 256, |_, c| c < 32);
-    assert_eq!(chosen_format(&model), ExecFormat::Bsr);
+    assert_eq!(chosen_format(&model), ExecFormat::Csr);
 }
 
 #[test]
-fn crossover_high_occupancy_unstructured_picks_bsr() {
-    // ~67% unstructured density: every block is live, so BSR approaches
-    // dense streaming at half the scalar lane cost — this is the regime
-    // where the vector-lane kernel wins without any mask structure.
+fn crossover_high_occupancy_unstructured_stays_dense() {
+    // ~67% unstructured density: dense 416, CSR 857, BSR 1,083, bitmap
+    // 2,503. Every block is live, and no format streams faster than the
+    // tile.
     let model = single_linear_model(16, 200, |r, c| (r * 200 + c) % 3 != 0);
-    assert_eq!(chosen_format(&model), ExecFormat::Bsr);
+    assert_eq!(chosen_format(&model), ExecFormat::Dense);
+}
+
+/// One conv layer of `geom` with `out_c` filters, then a linear
+/// classifier, with `mask` on the conv weight.
+fn single_conv_model(
+    geom: Conv2dGeometry,
+    out_c: usize,
+    mask: impl Fn(usize, usize) -> bool,
+) -> Model {
+    let mut rng = sb_tensor::Rng::seed_from(0xF1);
+    let flat = out_c * geom.out_h() * geom.out_w();
+    let body = Sequential::new()
+        .push(Conv2d::new("conv", out_c, geom, &mut rng))
+        .push(Flatten::new())
+        .push(Linear::new("fc", flat, 10, &mut rng));
+    let mut model = Model::from_sequential("synthetic", body, 10);
+    let cols = geom.patch_len();
+    model.visit_params(&mut |p| {
+        if p.kind() == ParamKind::ConvWeight {
+            let m = Tensor::from_fn(&[out_c, cols], |i| if mask(i / cols, i % cols) { 1.0 } else { 0.0 });
+            p.set_mask(m);
+        }
+    });
+    model
+}
+
+#[test]
+fn crossover_sparse_3x3_conv_on_16x16_planes_picks_csr() {
+    // 1/8 density, stride 1: direct CSR 8,501, dense 34,877 (19,169 in
+    // the tile, 15,708 in the unfold and reorder), bitmap 48,538, BSR
+    // 51,896.
+    let model = single_conv_model(Conv2dGeometry::square(8, 16, 16, 3, 1, 1), 8, |r, c| {
+        (r * 72 + c) % 8 == 0
+    });
+    assert_eq!(chosen_format(&model), ExecFormat::Csr);
+}
+
+#[test]
+fn crossover_dense_1x1_strided_conv_stays_dense() {
+    // 70% density, stride 2: dense 3,436, CSR 8,561, BSR 10,732, bitmap
+    // 11,936. Eight input channels give the unfold little to copy.
+    let model = single_conv_model(Conv2dGeometry::square(8, 16, 16, 1, 2, 0), 16, |r, c| {
+        (r * 8 + c) % 10 < 7
+    });
+    assert_eq!(chosen_format(&model), ExecFormat::Dense);
+}
+
+#[test]
+fn crossover_lenet5_conv2_at_30_percent_stays_dense() {
+    // LeNet-5's conv2 (6 → 16 channels, 5×5, padding 2, 8×8 planes) at
+    // 30% density: dense 28,064, CSR 37,699, BSR 42,214, bitmap 66,765.
+    // Eight-pixel rows give the direct kernel's 7.7 ns per tap row little
+    // to amortize.
+    let model = single_conv_model(Conv2dGeometry::square(6, 8, 8, 5, 1, 2), 16, |r, c| {
+        (r * 150 + c) % 10 < 3
+    });
+    assert_eq!(chosen_format(&model), ExecFormat::Dense);
 }

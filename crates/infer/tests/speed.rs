@@ -2,16 +2,15 @@
 //! speedup, not just a better multiply-add ratio.
 //!
 //! The baseline is the dense-compiled twin on the same batch, which runs
-//! sb-tensor's register tile: a strong baseline, not a strawman. These
-//! are wall-clock assertions, so each ratio comes from [`PAIRS`]
-//! interleaved candidate/baseline pairs and the floors leave a margin:
-//! in 10 release runs at `SB_RUNTIME_THREADS=4` on a 2-vCPU x86-64 host,
-//! CSR at 16× measured 1.8–2.2× (floor 1.3) and shrunk at 4× structured
-//! 2.0–2.4× (floor 1.2). While other tenants loaded that host, CSR at 16×
-//! dipped to 1.07–1.28× in 6 of 85 release runs; these forwards take
-//! 0.1–0.3 ms, so a stalled worker costs both sides the same time and
-//! pulls the ratio toward 1. Forced BSR at 16× is not asserted against
-//! dense: it was *slower* than the tile (0.74–0.89×).
+//! sb-tensor's register tile: a strong baseline, not a strawman. CSR
+//! linear layers run the row tile and CSR convs the direct sparse
+//! convolution. These are wall-clock assertions, so each ratio comes from
+//! [`PAIRS`] interleaved candidate/baseline pairs and the floors leave a
+//! margin; EXPERIMENTS.md records the measured ratios behind each floor.
+//! These forwards take 0.1–10 ms, so a worker stalled by another tenant
+//! of the host costs both sides the same time and pulls the ratio toward
+//! one. Forced BSR at 16× is not asserted against dense: it was *slower*
+//! than the tile (0.74–0.89×).
 
 mod common;
 
@@ -60,6 +59,12 @@ fn measured_speedup(candidate: &CompiledModel, baseline: &CompiledModel, x: &Ten
         },
     );
     assert!(profile.latency_us > 0.0 && profile.baseline_latency_us > 0.0);
+    // Shown with `--nocapture`, so that runs can report the ratios behind
+    // the floors.
+    eprintln!(
+        "speedup {:.3}x: candidate {:.1} us, baseline {:.1} us",
+        profile.realized_speedup, profile.latency_us, profile.baseline_latency_us
+    );
     profile.realized_speedup
 }
 
@@ -83,29 +88,17 @@ fn csr_compiled_linear_model_beats_dense_at_16x() {
     );
 }
 
-/// The format-crossover claim from the `format-crossover` artifact,
-/// pinned as a regression floor: at 2× unstructured (≈50% density) the
-/// BSR conv kernels beat the CSR conv kernels on wall-clock — CSR pays
-/// an index load per stored nonzero while BSR streams vector lanes.
-/// The margin depends on where the two kernels' hot loops land in this
-/// test binary, which edits anywhere in the crate graph move. With
-/// byte-identical BSR and CSR code, release runs at
-/// `SB_RUNTIME_THREADS=4` on a 2-vCPU x86-64 host measured 1.33–1.51×
-/// in one build (20 runs) and 1.00–1.27× in another (40 runs); a build
-/// that moved the CSR loop into a function of its own failed this floor
-/// in 16 of 45 runs. The relation holds in the other binaries that
-/// measure it (the `format-crossover` figure reads about 1.5×
-/// whole-model at 2×), so the floor stays; a wider margin needs a
-/// faster BSR kernel, not a lower floor.
-///
-/// Optimized-build only: the advantage *is* vectorization. At 50%
-/// density a random mask leaves ~94% of 4-wide blocks live, so BSR
-/// multiplies nearly every lane while CSR touches half — unoptimized,
-/// raw multiply count wins and the comparison inverts. `scripts/ci.sh`
-/// runs this suite in release so the floor still gates merges.
+/// The format-crossover relation at 2× unstructured (≈50% density) on
+/// the conv model, pinned as a regression floor: CSR beats BSR. It used to
+/// read the other way, BSR over CSR (floor 1.05), while CSR convs ran one
+/// accumulator per output over im2col rows. With the direct sparse
+/// convolution and the row tile, release runs at `SB_RUNTIME_THREADS=4`
+/// on a 2-vCPU x86-64 host measured forced BSR at 0.69–0.91× of forced
+/// CSR in 10 of 10 runs (CSR over BSR 1.10–1.46× over 15 runs, and
+/// 1.55–2.00× at 4×). The old claim came from a weak CSR kernel, so the
+/// floor now pins the relation that holds, with the same margin.
 #[test]
-#[cfg_attr(debug_assertions, ignore = "BSR's vector-lane win over CSR only exists optimized")]
-fn bsr_beats_csr_on_conv_model_at_2x() {
+fn csr_beats_bsr_on_conv_model_at_2x() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let mut rng = Rng::seed_from(0x5EED);
     let mut model = sb_nn::models::lenet5(1, 16, 10, &mut rng);
@@ -126,10 +119,33 @@ fn bsr_beats_csr_on_conv_model_at_2x() {
         },
     );
     let x = Tensor::rand_normal(&[32, 1, 16, 16], 0.0, 1.0, &mut rng);
-    let speedup = measured_speedup(&bsr, &csr, &x);
+    let speedup = measured_speedup(&csr, &bsr, &x);
     assert!(
         speedup > 1.05,
-        "BSR should beat CSR on a conv model at 2x unstructured, got {speedup:.2}x"
+        "CSR should beat BSR on a conv model at 2x unstructured, got {speedup:.2}x"
+    );
+}
+
+/// The direct sparse convolution's claim: ResNet-20 at 8× global
+/// magnitude, compiled by the cost model (CSR for most convs, dense for
+/// the strided ones and the classifier), beats its forced-dense twin.
+#[test]
+fn auto_compiled_resnet20_beats_dense_at_8x() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut rng = Rng::seed_from(0x5EED);
+    let mut model = sb_nn::models::resnet_cifar(20, 3, 16, 10, 4, &mut rng);
+    common::prune_global_magnitude(&mut model, 8.0);
+
+    let (candidate, baseline) = compile_pair(&model, None);
+    assert!(
+        candidate.plans().iter().any(|p| p.format == ExecFormat::Csr),
+        "8x-pruned ResNet-20 convs should compile to CSR"
+    );
+    let x = Tensor::rand_normal(&[32, 3, 16, 16], 0.0, 1.0, &mut rng);
+    let speedup = measured_speedup(&candidate, &baseline, &x);
+    assert!(
+        speedup > 1.3,
+        "auto-compiled ResNet-20 at 8x should clearly beat dense, got {speedup:.2}x"
     );
 }
 

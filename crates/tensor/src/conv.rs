@@ -1,5 +1,6 @@
 //! Convolution lowering: `im2col` / `col2im`, the reorders between
-//! product rows and images, and output-geometry math.
+//! product rows and images, the direct sparse convolution, and
+//! output-geometry math.
 //!
 //! A convolution is a matrix product over a patch matrix: the input
 //! `[N, C, H, W]` is unfolded into `[N·H_out·W_out, C·KH·KW]` rows, times
@@ -16,7 +17,18 @@
 //! as `+0.0`; the fold adds each run into its image row with no bounds
 //! test per element, in the reference loop's order: each image element
 //! adds its contributions in ascending `(oy, ox)`.
+//!
+//! A CSR-weighted convolution skips the lowering altogether.
+//! [`sparse_conv_into`] (direct sparse convolution, Park et al., ICLR
+//! 2017) walks each filter's stored weights in ascending patch column and
+//! adds `v ×` the shifted input row into the output plane, over the output
+//! range [`Conv2dGeometry::tap_outputs`] gives for that tap. Every output
+//! adds the products of its in-image taps in the order the unfolded
+//! product would, from `+0.0`, so it has that product's bits for finite
+//! weights: a skipped padded tap would only have added `±0.0` to an
+//! accumulator that can never be `−0.0`.
 
+use crate::sparse::SparseMatrix;
 use crate::tensor::Tensor;
 use sb_json::json_struct;
 use std::ops::Range;
@@ -102,6 +114,25 @@ impl Conv2dGeometry {
     /// Patch length: `in_channels · kernel_h · kernel_w`.
     pub fn patch_len(&self) -> usize {
         self.in_channels * self.kernel_h * self.kernel_w
+    }
+
+    /// The output rows and the output columns at which kernel tap
+    /// `(ky, kx)` reads inside the image: the outputs `o` whose input
+    /// `o·stride + t − padding` lies in the image, on each axis. A tap
+    /// contributes to `rows.len() · cols.len()` output pixels, over
+    /// `rows.len()` output rows when `cols` is not empty.
+    /// [`sparse_conv_into`] runs each stored weight over these ranges, and
+    /// sb-infer's cost model counts them.
+    pub fn tap_outputs(&self, ky: usize, kx: usize) -> (Range<usize>, Range<usize>) {
+        let axis = |t: usize, pad: usize, len: usize, out: usize| {
+            // o·s + t ≥ pad, and o·s + t < len + pad.
+            let hi = (len + pad).saturating_sub(t).div_ceil(self.stride).min(out);
+            pad.saturating_sub(t).div_ceil(self.stride).min(hi)..hi
+        };
+        (
+            axis(ky, self.padding_h, self.in_h, self.out_h()),
+            axis(kx, self.padding_w, self.in_w, self.out_w()),
+        )
     }
 }
 
@@ -217,6 +248,101 @@ fn unfold(x: &[f32], g: &Conv2dGeometry, out: &mut [f32], kh: usize, kw: usize) 
                             run[..xs.start].fill(0.0);
                             run[xs.clone()].copy_from_slice(&src[..xs.len()]);
                             run[xs.end..].fill(0.0);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Direct sparse convolution of the contiguous `[C, H, W]` samples of `x`
+/// by the CSR filters `w` (`[C_out, C·KH·KW]`, the layout of a conv
+/// weight) into `[C_out, OH, OW]` samples in `out`, with no bias, on the
+/// calling thread. Every element of `out` is written.
+///
+/// Each output plane starts at `+0.0`; then each stored weight
+/// `(c, ky, kx)` of its filter, in ascending column, adds `v × x[c]` at
+/// the tap's offset over [`Conv2dGeometry::tap_outputs`]. No patch matrix
+/// and no row reorder is built. Each output therefore adds the products
+/// of its in-image taps in ascending patch column, which is the CSR
+/// product of the unfolded patch rows with a padded tap left out; for
+/// finite weights the two agree bit for bit.
+///
+/// # Panics
+///
+/// Panics if `w` does not have `geom`'s patch length as its columns, or
+/// if `x` is not whole samples of `geom` or `out` is not their output.
+pub fn sparse_conv_into(x: &[f32], w: &SparseMatrix, geom: &Conv2dGeometry, out: &mut [f32]) {
+    assert_eq!(w.cols(), geom.patch_len(), "sparse conv filters are not patch-wide");
+    let in_len = geom.in_channels * geom.in_h * geom.in_w;
+    let n = x.len().checked_div(in_len).unwrap_or(0);
+    let out_len = n * w.rows() * geom.out_h() * geom.out_w();
+    assert!(x.len() == n * in_len && out.len() == out_len, "partial sparse_conv_into samples");
+    if out.is_empty() {
+        return;
+    }
+    // The tap count is a constant in each arm, so a stored column splits
+    // into (channel, tap) without a division, and the tap table lives on
+    // the stack.
+    fn table<const T: usize>(g: &Conv2dGeometry) -> [(Range<usize>, Range<usize>); T] {
+        std::array::from_fn(|t| g.tap_outputs(t / g.kernel_w, t % g.kernel_w))
+    }
+    match (geom.kernel_h, geom.kernel_w) {
+        (1, 1) => direct::<1>(x, w, geom, out, &table::<1>(geom), 1),
+        (3, 3) => direct::<9>(x, w, geom, out, &table::<9>(geom), 3),
+        (5, 5) => direct::<25>(x, w, geom, out, &table::<25>(geom), 5),
+        (kh, kw) => {
+            let taps: Vec<_> = (0..kh * kw).map(|t| geom.tap_outputs(t / kw, t % kw)).collect();
+            direct::<0>(x, w, geom, out, &taps, kw)
+        }
+    }
+}
+
+/// [`sparse_conv_into`]'s loop over `taps`, the output rows and columns of
+/// each of the `kh × kw` taps in row-major order (`out` non-empty). `T` is
+/// the tap count when it is a constant, else 0.
+#[inline(always)]
+fn direct<const T: usize>(
+    x: &[f32],
+    w: &SparseMatrix,
+    g: &Conv2dGeometry,
+    out: &mut [f32],
+    taps: &[(Range<usize>, Range<usize>)],
+    kw: usize,
+) {
+    let (h, iw, ow, s) = (g.in_h, g.in_w, g.out_w(), g.stride);
+    let plane = g.out_h() * ow;
+    let samples = x.chunks_exact(g.in_channels * h * iw);
+    for (sample, planes) in samples.zip(out.chunks_exact_mut(w.rows() * plane)) {
+        for (j, acc) in planes.chunks_exact_mut(plane).enumerate() {
+            acc.fill(0.0);
+            let (cols, vals) = w.row(j);
+            for (&col, &v) in cols.iter().zip(vals) {
+                let ntaps = if T == 0 { taps.len() } else { T };
+                let (c, t) = (col as usize / ntaps, col as usize % ntaps);
+                let (rows, outs) = &taps[t];
+                let len = outs.len();
+                if len == 0 || rows.is_empty() {
+                    continue;
+                }
+                let (ky, kx) = (t / kw, t % kw);
+                // The tap's first output and its input; each further
+                // output row is one plane row, and `s` input rows, on.
+                let iy0 = rows.start * s + ky - g.padding_h;
+                let src = &sample[c * h * iw + iy0 * iw + outs.start * s + kx - g.padding_w..];
+                let dst = &mut acc[rows.start * ow + outs.start..];
+                let pairs = dst.chunks_mut(ow).zip(src.chunks(s * iw)).take(rows.len());
+                if s == 1 {
+                    for (d, x) in pairs {
+                        for (o, &xv) in d[..len].iter_mut().zip(&x[..len]) {
+                            *o += v * xv;
+                        }
+                    }
+                } else {
+                    for (d, x) in pairs {
+                        for (o, &xv) in d[..len].iter_mut().zip(x.iter().step_by(s)) {
+                            *o += v * xv;
                         }
                     }
                 }

@@ -23,7 +23,10 @@
 //! [`im2col_into`] on its batch blocks, with the product-row reorders
 //! [`rows_to_nchw`] and [`nchw_to_rows`] beside them. The unfold only
 //! moves values, and the fold adds in the per-element loop's order, so
-//! their bits are that loop's.
+//! their bits are that loop's. A convolution with CSR filters skips the
+//! lowering: [`sparse_conv_into`] adds each stored weight's shifted
+//! input rows straight into the output planes, over the output range
+//! [`Conv2dGeometry::tap_outputs`] gives its tap.
 //!
 //! The forward product `a · bᵀ` computes a register tile of outputs at a
 //! time over a packed copy of `b`. The tile has two callers:
@@ -33,7 +36,9 @@
 //! any slice of rows. It keeps the reference formula's exact float order:
 //! each output starts at `0.0` and adds its products one at a time in
 //! ascending `k`, with no fused multiply-add, so its results are
-//! bit-identical to the plain dot-product loop.
+//! bit-identical to the plain dot-product loop. The CSR product `a · Wᵀ`
+//! has a row tile of its own, [`SparseMatrix::matmul_rows`], with the
+//! same order.
 //!
 //! # Example
 //!
@@ -59,7 +64,9 @@ mod shape;
 mod sparse;
 mod tensor;
 
-pub use conv::{col2im, im2col, im2col_into, nchw_to_rows, rows_to_nchw, Conv2dGeometry};
+pub use conv::{
+    col2im, im2col, im2col_into, nchw_to_rows, rows_to_nchw, sparse_conv_into, Conv2dGeometry,
+};
 pub use error::TensorError;
 pub use init::Rng;
 pub use linalg::PackedRhs;

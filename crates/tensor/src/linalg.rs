@@ -123,6 +123,14 @@ impl PackedRhs {
         self.k
     }
 
+    /// The outputs per row the tile computes for a packed matrix of `n`
+    /// rows: `n` rounded up to whole panels, whose padding columns are
+    /// computed and dropped.
+    pub fn padded_rows(n: usize) -> usize {
+        let w = if n <= NR_NARROW { NR_NARROW } else { NR };
+        n.div_ceil(w) * w
+    }
+
     /// `out = a · bᵀ` for the row-major rows of `a` (`m × k` values) into
     /// `out` (`m × n`), on the calling thread: [`MR`]-row tiles, then the
     /// last one to three rows one at a time. Each output starts at `0.0`

@@ -7,9 +7,23 @@
 //! actual sparse kernel, and compare wall-clock against the dense matmul —
 //! the *realized* counterpart of `sb-metrics`' theoretical speedup
 //! (exercised by the `realized` wall-clock benchmark).
+//!
+//! The inference-side product `a · Wᵀ` runs one row-tiled loop,
+//! [`SparseMatrix::matmul_rows`]: each stored entry's index and value
+//! load feeds [`ROW_TILE`] rows' accumulators, so the loop has that many
+//! independent add chains in flight instead of one. Each output still
+//! starts at `0.0` and adds its products in ascending column, so the tile
+//! is bit-identical to the one-output-at-a-time loop.
+//! [`SparseMatrix::dense_matmul_transposed`] calls it from its row blocks
+//! and sb-infer's CSR linear layers call it on their batch blocks. A CSR
+//! convolution runs [`crate::sparse_conv_into`] instead.
 
 use crate::tensor::Tensor;
 use sb_json::json_struct;
+
+/// Rows of `a` per tile of [`SparseMatrix::matmul_rows`]: each stored
+/// entry's index and value load feeds this many accumulators.
+const ROW_TILE: usize = 4;
 
 /// A sparse matrix in compressed-sparse-row format.
 ///
@@ -94,15 +108,11 @@ impl SparseMatrix {
     }
 
     /// The stored entries of row `r` as parallel `(column, value)` slices,
-    /// column-ascending — the access path external kernels (the `sb-infer`
-    /// executor) use to consume CSR weights without re-allocating.
+    /// column-ascending.
     ///
     /// # Panics
     ///
     /// Panics if `r >= self.rows()`.
-    ///
-    /// Inlined because callers in other crates call it once per output
-    /// row inside their kernels' hot loops.
     #[inline]
     pub fn row(&self, r: usize) -> (&[u32], &[f32]) {
         let (lo, hi) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
@@ -187,16 +197,75 @@ impl SparseMatrix {
         Tensor::from_vec(out, &[self.rows, n]).expect("shape computed above")
     }
 
+    /// `out = a · selfᵀ` for the row-major rows of `a` (`m × cols` values)
+    /// into `out` (`m × rows`), on the calling thread: [`ROW_TILE`]-row
+    /// tiles, then the last rows one at a time. For each output column `j`
+    /// a tile walks row `j`'s stored entries once, and each entry's index
+    /// and value feed one accumulator per tile row. Each output starts at
+    /// `0.0` and adds `v · a[i][col]` in ascending column, so splitting
+    /// `a`'s rows between calls never changes a bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` and `out` do not hold the same number of rows.
+    pub fn matmul_rows(&self, a: &[f32], out: &mut [f32]) {
+        let (n, k) = (self.rows, self.cols);
+        // `a` has no values to count rows by when `k` is 0.
+        let m = a.len().checked_div(k).unwrap_or(out.len() / n.max(1));
+        assert!(
+            a.len() == m * k && out.len() == m * n,
+            "matmul_rows slice lengths disagree: {} lhs values and {} outputs \
+             for a [{n}, {k}] CSR matrix",
+            a.len(),
+            out.len()
+        );
+        if out.is_empty() {
+            return;
+        }
+        if k == 0 {
+            out.fill(0.0);
+            return;
+        }
+        for (out_tile, a_tile) in out.chunks_mut(ROW_TILE * n).zip(a.chunks(ROW_TILE * k)) {
+            if out_tile.len() == ROW_TILE * n {
+                self.row_tile::<ROW_TILE>(a_tile, out_tile);
+            } else {
+                for (out_row, a_row) in out_tile.chunks_mut(n).zip(a_tile.chunks(k)) {
+                    self.row_tile::<1>(a_row, out_row);
+                }
+            }
+        }
+    }
+
+    /// `R` output rows of `a · selfᵀ` (`a_tile` is `R × cols`, `out_tile`
+    /// is `R × rows`).
+    fn row_tile<const R: usize>(&self, a_tile: &[f32], out_tile: &mut [f32]) {
+        let (n, k) = (self.rows, self.cols);
+        let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a_tile[r * k..(r + 1) * k]);
+        for j in 0..n {
+            let (cols, vals) = self.row(j);
+            let mut acc = [0.0f32; R];
+            for (&c, &v) in cols.iter().zip(vals) {
+                for (o, a_row) in acc.iter_mut().zip(&a_rows) {
+                    *o += v * a_row[c as usize];
+                }
+            }
+            for (r, &o) in acc.iter().enumerate() {
+                out_tile[r * n + j] = o;
+            }
+        }
+    }
+
     /// Dense × sparseᵀ product: `lhs [m, k] × (self [n, k])ᵀ → [m, n]`.
     ///
-    /// This is the inference-side kernel: with `self` a CSR weight matrix
-    /// `[out, in]` (the same layout `Linear` and `Conv2d` store) and `lhs`
-    /// a batch of activations (or im2col patches) `[m, in]`, it computes
-    /// `lhs · Wᵀ` without materializing the transpose. Each output element
-    /// `out[i, j]` is a single dot product over row `j`'s stored entries,
-    /// accumulated in `k`-ascending index order, so results are
-    /// bit-identical at any thread count (parallelism is over disjoint
-    /// blocks of `lhs` rows).
+    /// With `self` a CSR weight matrix `[out, in]` (the same layout
+    /// `Linear` and `Conv2d` store) and `lhs` a batch of activations
+    /// `[m, in]`, it computes `lhs · Wᵀ` without materializing the
+    /// transpose, by running [`SparseMatrix::matmul_rows`] (the kernel of
+    /// sb-infer's CSR linear layers) over parallel blocks of `lhs` rows.
+    /// Each output element `out[i, j]` is a single dot product over row
+    /// `j`'s stored entries, accumulated in `k`-ascending index order, so
+    /// results are bit-identical at any thread count.
     ///
     /// # Panics
     ///
@@ -224,23 +293,14 @@ impl SparseMatrix {
         // matrix is walked, so work per row ≈ nnz.
         let rows_per = (32_768 / self.nnz().max(1)).clamp(1, m.max(1));
         sb_runtime::for_each_chunk_mut(&mut out, rows_per * n, |ci, block| {
-            let row0 = ci * rows_per;
-            for (r, out_row) in block.chunks_mut(n).enumerate() {
-                let a_row = &a[(row0 + r) * k..(row0 + r + 1) * k];
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    let (lo, hi) = (self.row_ptr[j] as usize, self.row_ptr[j + 1] as usize);
-                    let mut acc = 0.0f32;
-                    for t in lo..hi {
-                        acc += self.values[t] * a_row[self.col_idx[t] as usize];
-                    }
-                    *o = acc;
-                }
-            }
+            let rows = block.len() / n;
+            self.matmul_rows(&a[ci * rows_per * k..][..rows * k], block);
         });
         Tensor::from_vec(out, &[m, n]).expect("shape computed above")
     }
 
-    /// Sparse × vector product: `self [m, k] × v [k] → [m]`.
+    /// Sparse × vector product: `self [m, k] × v [k] → [m]`, the row
+    /// tile over one row.
     ///
     /// # Panics
     ///
@@ -248,14 +308,7 @@ impl SparseMatrix {
     pub fn matvec(&self, v: &Tensor) -> Tensor {
         assert_eq!(v.numel(), self.cols, "vector length mismatch");
         let mut out = vec![0.0f32; self.rows];
-        for (r, o) in out.iter_mut().enumerate() {
-            let (lo, hi) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
-            let mut acc = 0.0f32;
-            for k in lo..hi {
-                acc += self.values[k] * v.data()[self.col_idx[k] as usize];
-            }
-            *o = acc;
-        }
+        self.matmul_rows(v.data(), &mut out);
         Tensor::from_vec(out, &[self.rows]).expect("shape computed above")
     }
 }

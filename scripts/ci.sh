@@ -36,11 +36,10 @@ cargo bench --no-run --offline
 SB_RUNTIME_THREADS=1 cargo test -q --offline
 SB_RUNTIME_THREADS=4 SB_TRACE=1 cargo test -q --offline
 
-# The wall-clock floors compare *kernels* against each other (BSR vs CSR
-# vs dense), and the BSR claim is a vectorization claim — it only holds
-# in optimized builds, where the debug-gated test above un-ignores
-# itself. Run the speed suite once in release so the format-crossover
-# floors actually gate merges.
+# The wall-clock floors compare *kernels* against each other (CSR vs BSR
+# vs dense) and are claims about optimized code, so run the speed suite
+# once in release too: the format-crossover floors gate merges on the
+# build that ships.
 SB_RUNTIME_THREADS=4 cargo test -q --release --offline -p sb-infer --test speed
 
 # The serving smoke replays a pinned virtual-clock workload through the
