@@ -773,7 +773,7 @@ pub fn inference_speedup(scale: Scale, paths: &OutputPaths) -> io::Result<String
     }
     out.push_str(&table.to_markdown());
     out.push_str(
-        "\nReading: realized speedup trails the multiply-add ratio — CSR pays index overhead at every nonzero and only wins at high sparsity, while structured (filter) pruning shrinks the dense kernels themselves and converts more of its (smaller) theoretical figure into wall-clock. This is the gap Section 2.1 warns about when papers report FLOP ratios as \"speedup\".\n",
+        "\nReading: realized speedup trails the multiply-add ratio at every compression. A stored CSR weight costs more than a dense tile's multiply-add: the packed sparse convolution steps each weight over every 8-pixel tile of its output rows, after copying each sample into a zero-padded buffer. Structured (filter) pruning compiles its thinned layers to CSR or shrunk dense, each priced alone. This is the gap Section 2.1 warns about when papers report FLOP ratios as \"speedup\".\n",
     );
     save(paths, "inference-speedup", &out, Some(&table))?;
     Ok(out)
@@ -1040,7 +1040,7 @@ pub fn format_crossover(paths: &OutputPaths) -> io::Result<String> {
         )
     };
     out.push_str(&format!(
-        "\nReading: each point is a median-of-{k} whole-model forward against one shared dense-compiled baseline, timed in interleaved rounds (the dense row gauges measurement noise). The baseline runs the register-tiled dense kernel, so a sparse format has to beat a vectorized dense loop. CSR runs the direct sparse convolution on conv layers (no unfold) and a 4-row tile on the linear ones, so its time falls with its stored weights and it wins the whole model at high ratios; BSR and bitmap still pay the unfold and their own per-row and per-block costs; {crossover_note}. The auto row is the fitted cost model's pick per layer.\n",
+        "\nReading: each point is a median-of-{k} whole-model forward against one shared dense-compiled baseline, timed in interleaved rounds (the dense row gauges measurement noise). The baseline runs the register-tiled dense kernel, so a sparse format has to beat a vectorized dense loop. CSR runs the packed sparse convolution on conv layers (no unfold) and a 4-row tile on the linear ones, so its time falls with its stored weights and it wins the whole model at high ratios; BSR and bitmap still pay the unfold and their own per-row and per-block costs; {crossover_note}. The auto row is the fitted cost model's pick per layer.\n",
     ));
     save(paths, "format-crossover", &out, Some(&table))?;
     Ok(out)
@@ -1181,7 +1181,7 @@ pub fn cost_fit(paths: &OutputPaths) -> io::Result<String> {
 
     let mut table = Table::new(vec![
         "model", "layer", "forced", "format", "kind", "rows", "cols", "nnz", "blocks", "words",
-        "spatial", "stride", "tap_rows", "tap_pixels", "ns_per_sample",
+        "spatial", "stride", "tiles", "padded", "ns_per_sample",
     ]);
     let mut samples = Vec::new();
     for (case, per_layer) in cases.iter().zip(&mut times) {
@@ -1207,8 +1207,8 @@ pub fn cost_fit(paths: &OutputPaths) -> io::Result<String> {
                 st.words.to_string(),
                 st.spatial.to_string(),
                 st.stride.to_string(),
-                st.tap_rows.to_string(),
-                st.tap_pixels.to_string(),
+                st.tiles.to_string(),
+                st.padded.to_string(),
                 format!("{ns:.1}"),
             ]);
         }

@@ -18,7 +18,7 @@
 use crate::cost::{LayerStats, MARGIN};
 use crate::plan::{ExecFormat, FeatureShape, Kernel, LayerPlan, Planned, Step};
 use sb_nn::{models::Model, LayerSpec, Network};
-use sb_tensor::{Conv2dGeometry, PackedRhs, SparseMatrix, Tensor};
+use sb_tensor::{Conv2dGeometry, PackedConv, PackedRhs, SparseMatrix, Tensor};
 
 /// Knobs for [`CompiledModel::compile`](crate::CompiledModel::compile).
 #[derive(Debug, Clone)]
@@ -55,8 +55,8 @@ pub struct CompiledModel {
     pub(crate) batch_block: usize,
     /// Largest per-sample activation any step reads or writes.
     pub(crate) max_act: usize,
-    /// Largest per-sample im2col patch matrix any lowered conv needs (a
-    /// CSR conv runs direct and needs none).
+    /// Largest per-sample im2col patch matrix any lowered conv needs, or
+    /// padded sample any CSR conv needs ([`PackedConv::padded_len`]).
     pub(crate) max_patch: usize,
     /// Largest per-sample `[oh·ow, out_c]` row matrix any lowered conv
     /// needs.
@@ -471,14 +471,17 @@ impl Compiler<'_> {
         let dense_macs = (out_channels * full_patch * spatial) as u64;
         let choice = self.choose(&w, &b, rest, Some(&geom));
         let (format, stats) = (choice.format, choice.stats);
-        let (kernel, bias_vec, new_carry, effective) = build_kernel(choice, w, b, out_channels);
+        let (mut kernel, bias_vec, new_carry, effective) = build_kernel(choice, w, b, out_channels);
         *carry = new_carry;
         let out_c = kernel.out_features();
         self.record_plan(name, format, stats, &kernel, &bias_vec, dense_macs, effective * spatial as u64);
         self.pending_label = Some(format!("{name}:{}", format.label()));
-        // The direct CSR convolution writes NCHW output from the input
-        // itself: no patch matrix, no product rows.
-        if format != ExecFormat::Csr {
+        // The sparse convolution writes NCHW output from a padded copy of
+        // each sample: no patch matrix, no product rows.
+        if let Kernel::Csr(sparse) = &kernel {
+            self.max_patch = self.max_patch.max(PackedConv::padded_len(&geom));
+            kernel = Kernel::CsrConv(PackedConv::pack(sparse, &geom));
+        } else {
             self.max_patch = self.max_patch.max(spatial * geom.patch_len());
             self.max_rows = self.max_rows.max(spatial * out_c);
         }

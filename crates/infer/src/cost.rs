@@ -9,7 +9,7 @@
 //! |--------|-------|
 //! | dense, shrunk | `panel_rows·cols·S` multiply-adds in the tile (rows rounded up to whole panels, [`PackedRhs::padded_rows`]); for a conv also `cols·S` unfolded elements and `rows·S` reordered outputs |
 //! | csr, linear | `nnz` stored entries and `rows` output rows of the row tile |
-//! | csr, conv | per stride class (1, or more): Σ over stored weights of the output rows and of the output pixels the tap reaches |
+//! | csr, conv | per stride class (1, or more): `nnz·out_h·⌈out_w / 8⌉` weight steps of the register tile ([`PackedConv::row_tiles`]) and the padded copy's elements ([`PackedConv::padded_len`]) |
 //! | bsr | `cols·S` unfolded elements (conv only), `rows·S` output rows, `blocks·S` live blocks |
 //! | bitmap | `cols·S` unfolded elements (conv only), `rows·S` output rows, `nnz·S` set bits, `words·S` mask words |
 //!
@@ -23,7 +23,7 @@
 
 use crate::formats::BSR_BLOCK_W;
 use crate::plan::ExecFormat;
-use sb_tensor::{Conv2dGeometry, PackedRhs, Tensor};
+use sb_tensor::{Conv2dGeometry, PackedConv, PackedRhs, Tensor};
 
 /// A sparse format must be predicted this fraction faster than the best
 /// dense-lane format (dense or shrunk) to be picked. It is no smaller than
@@ -50,12 +50,14 @@ pub struct LayerStats {
     pub spatial: usize,
     /// Conv stride (1 for a linear layer).
     pub stride: usize,
-    /// Σ over stored weights of the output rows its tap reaches
-    /// ([`Conv2dGeometry::tap_outputs`]); 0 for a linear layer.
-    pub tap_rows: usize,
-    /// Σ over stored weights of the output pixels its tap reaches: the
-    /// direct convolution's multiply-adds.
-    pub tap_pixels: usize,
+    /// Weight steps of the sparse convolution's register tiles: each
+    /// stored weight steps every tile of its filter's plane,
+    /// `nnz · out_h · ⌈out_w / 8⌉` ([`PackedConv::row_tiles`]); 0 for a
+    /// linear layer.
+    pub tiles: usize,
+    /// Elements of the sparse convolution's zero-padded copy of a sample
+    /// ([`PackedConv::padded_len`]); 0 for a linear layer.
+    pub padded: usize,
 }
 
 /// A group of constants that are fitted together.
@@ -66,9 +68,9 @@ pub enum Term {
     Dense,
     /// The CSR row tile of a linear layer.
     CsrLinear,
-    /// The direct sparse convolution at stride 1.
+    /// The sparse convolution at stride 1.
     CsrConv,
-    /// The direct sparse convolution at stride 2 or more.
+    /// The sparse convolution at stride 2 or more.
     CsrConvStrided,
     /// The BSR kernel over unfolded rows.
     Bsr,
@@ -104,7 +106,7 @@ impl Term {
         match self {
             Term::Dense => &["tile mac", "unfolded element", "reordered output"],
             Term::CsrLinear => &["stored entry", "output row"],
-            Term::CsrConv | Term::CsrConvStrided => &["tap row", "tap pixel"],
+            Term::CsrConv | Term::CsrConvStrided => &["tile step", "padded element"],
             Term::Bsr => &["unfolded element", "output row", "live block"],
             Term::Bitmap => &["unfolded element", "output row", "set bit", "mask word"],
         }
@@ -113,12 +115,12 @@ impl Term {
     /// The fitted constants, ns per unit of [`Term::units`].
     pub fn constants(&self) -> &'static [f64] {
         match self {
-            Term::Dense => &[0.13, 0.63, 2.0],
-            Term::CsrLinear => &[0.39, 1.6],
-            Term::CsrConv => &[7.7, 0.0],
-            Term::CsrConvStrided => &[6.8, 0.62],
-            Term::Bsr => &[0.76, 7.7, 1.2],
-            Term::Bitmap => &[0.8, 3.4, 1.1, 1.6],
+            Term::Dense => &[0.2, 1.0, 3.8],
+            Term::CsrLinear => &[0.61, 3.1],
+            Term::CsrConv => &[2.5, 1.7],
+            Term::CsrConvStrided => &[4.9, 1.0],
+            Term::Bsr => &[1.0, 13.0, 1.9],
+            Term::Bitmap => &[0.95, 6.4, 1.7, 2.7],
         }
     }
 }
@@ -138,33 +140,22 @@ impl LayerStats {
             stride: 1,
             ..LayerStats::default()
         };
-        // Per kernel tap: the output rows and pixels it reaches.
-        let taps: Vec<(usize, usize)> = geom.map_or_else(Vec::new, |g| {
+        // Every stored weight steps the same tiles: a filter's plane.
+        let mut row_tiles = 0;
+        if let Some(g) = geom {
             stats.spatial = g.out_h() * g.out_w();
             stats.stride = g.stride;
-            (0..g.kernel_h * g.kernel_w)
-                .map(|t| {
-                    let (ys, xs) = g.tap_outputs(t / g.kernel_w, t % g.kernel_w);
-                    let px = ys.len() * xs.len();
-                    (if px == 0 { 0 } else { ys.len() }, px)
-                })
-                .collect()
-        });
+            stats.padded = PackedConv::padded_len(g);
+            row_tiles = PackedConv::row_tiles(g);
+        }
         for row in data.chunks_exact(cols.max(1)).take(rows) {
-            for (c, &v) in row.iter().enumerate() {
-                if v != 0.0 {
-                    stats.nnz += 1;
-                    if let Some(&(r, p)) = taps.get(c % taps.len().max(1)) {
-                        stats.tap_rows += r;
-                        stats.tap_pixels += p;
-                    }
-                }
-            }
+            stats.nnz += row.iter().filter(|&&v| v != 0.0).count();
             stats.blocks += row
                 .chunks(BSR_BLOCK_W)
                 .filter(|b| b.iter().any(|&v| v != 0.0))
                 .count();
         }
+        stats.tiles = stats.nnz * row_tiles;
         stats
     }
 
@@ -190,7 +181,7 @@ impl LayerStats {
                 } else {
                     Term::CsrConvStrided
                 },
-                vec![self.tap_rows as f64, self.tap_pixels as f64],
+                vec![self.tiles as f64, self.padded as f64],
             ),
             ExecFormat::Bsr => (Term::Bsr, vec![unfold, rows * s, self.blocks as f64 * s]),
             ExecFormat::Bitmap => (
@@ -396,15 +387,16 @@ mod tests {
     }
 
     #[test]
-    fn tap_sums_count_only_in_image_outputs() {
-        // A 3x3 kernel, padding 1 on a 4x4 input: the centre tap reaches
-        // all 16 outputs over 4 rows, a corner tap 9 outputs over 3 rows.
-        let g = Conv2dGeometry::square(1, 4, 4, 3, 1, 1);
+    fn sparse_conv_counts_tiles_and_padded_elements() {
+        // A 3x3 kernel, padding 1 on a 12x12 input: 12 output rows of two
+        // 8-wide tiles (the second a tail), so each stored weight steps 24
+        // tiles; the padded copy is 14x14 plus the 8 zeros past it.
+        let g = Conv2dGeometry::square(1, 12, 12, 3, 1, 1);
         let mut w = vec![0.0f32; 9];
         w[4] = 1.0;
         w[0] = 1.0;
         let stats = LayerStats::of(&Tensor::from_vec(w, &[1, 9]).unwrap(), Some(&g));
-        assert_eq!((stats.nnz, stats.tap_rows, stats.tap_pixels), (2, 7, 25));
-        assert_eq!((stats.spatial, stats.blocks, stats.words), (16, 2, 1));
+        assert_eq!((stats.nnz, stats.tiles, stats.padded), (2, 48, 14 * 14 + 8));
+        assert_eq!((stats.spatial, stats.blocks, stats.words), (144, 2, 1));
     }
 }

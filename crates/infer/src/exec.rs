@@ -6,8 +6,9 @@
 //! boundaries and every kernel visits its inputs in a fixed index order,
 //! so the logits are byte-identical for any `SB_RUNTIME_THREADS` value.
 //!
-//! A CSR conv step runs `sb_tensor::sparse_conv_into`, the direct sparse
-//! convolution, straight from the input activations into NCHW output.
+//! A CSR conv step runs `sb_tensor::PackedConv`, packed at compile time:
+//! it copies each sample into a zero-padded buffer in the block's
+//! scratch and computes NCHW output from it a register tile at a time.
 //! Every other conv step unfolds with `sb_tensor::im2col_into`, the loop
 //! `Conv2d` runs, multiplies the patch rows, and reorders with
 //! `sb_tensor::rows_to_nchw`. CSR linear steps run sb-tensor's row-tiled
@@ -20,12 +21,13 @@
 
 use crate::compile::CompiledModel;
 use crate::plan::{FeatureShape, Kernel, Planned, Step};
-use sb_tensor::{im2col_into, rows_to_nchw, sparse_conv_into, PackedRhs, Tensor};
+use sb_tensor::{im2col_into, rows_to_nchw, PackedRhs, Tensor};
 use std::sync::Mutex;
 
 /// Per-worker scratch: activation ping-pong buffers, a residual stash,
-/// and im2col/row staging for the convs that lower to a product (CSR
-/// convs need none), all sized once for the worst-case layer.
+/// im2col/row staging for the convs that lower to a product (a CSR conv
+/// pads one sample at a time into `patch`), all sized once for the
+/// worst-case layer.
 struct Scratch {
     cur: Vec<f32>,
     tmp: Vec<f32>,
@@ -238,8 +240,8 @@ fn apply_step(
             sb_trace::add(sb_trace::CounterId::BytesMoved, kernel.param_bytes() as u64);
             let (x, plen) = (&cur[..b * p.in_shape.numel()], geom.patch_len());
             let y = &mut tmp[..b * p.out_shape.numel()];
-            if let Kernel::Csr(s) = kernel {
-                sparse_conv_into(x, s, geom, y);
+            if let Kernel::CsrConv(packed) = kernel {
+                packed.run(x, patch, y);
                 for (plane, &bc) in y.chunks_exact_mut(spatial).zip(bias.iter().cycle()) {
                     for o in plane {
                         *o += bc;
@@ -288,6 +290,7 @@ fn matmul_rows(kernel: &Kernel, bias: &[f32], x: &[f32], in_d: usize, y: &mut [f
             s.matmul_rows(x, y);
             add_bias(y, bias);
         }
+        Kernel::CsrConv(_) => unreachable!("packed sparse convs run as conv steps"),
         Kernel::Bsr(b) => {
             debug_assert_eq!(b.cols(), in_d, "BSR kernel input width");
             b.matmul_rows(x, bias, y);

@@ -1,9 +1,13 @@
 //! Blocked-sparse (BSR) and bitmap weight storage.
 //!
-//! Both formats attack the same measured problem from different ends:
-//! the CSR kernel pays an indirect column load per stored nonzero, which
-//! the `latency-attribution` artifact showed costs conv layers ~6× their
-//! FLOP count. [`BsrMatrix`] amortizes that index overhead across a
+//! Both formats were written against a CSR kernel that has since been
+//! replaced: one accumulator per output over unfolded patch rows, with an
+//! indirect column load per stored nonzero, which an early
+//! `latency-attribution` run showed costing conv layers ~6× their FLOP
+//! count. CSR now runs a row tile on linear layers and the packed sparse
+//! convolution on convs, and the fitted cost model picks neither format
+//! for any layer of its fit's 32 models. They attack the same problem
+//! from different ends. [`BsrMatrix`] amortizes that index overhead across a
 //! fixed-width block of contiguous lanes (one column index per
 //! [`BSR_BLOCK_W`] multiply-adds, and the matching input lanes are
 //! contiguous in the im2col patch row, so the block inner loop

@@ -21,8 +21,10 @@
 //!   that runs every training forward; the baseline and the fallback.
 //! * [`ExecFormat::Csr`] — compressed sparse rows. A linear layer runs
 //!   sb-tensor's row tile ([`sb_tensor::SparseMatrix::matmul_rows`]); a
-//!   conv runs the direct sparse convolution
-//!   ([`sb_tensor::sparse_conv_into`]), which needs no unfold.
+//!   conv runs the packed sparse convolution ([`sb_tensor::PackedConv`]):
+//!   its weights' offsets into a zero-padded sample are packed at compile
+//!   time, and it needs no unfold, computing a register tile of one output
+//!   row per pass over a filter's weights.
 //! * [`ExecFormat::ShrunkDense`] — rows zeroed by *structured* (filter)
 //!   pruning are physically dropped and the shrink propagates into the
 //!   next layer's columns, turning channel sparsity into plain smaller

@@ -4,10 +4,12 @@
 //! list of [`Planned`] steps. Each step records the per-sample feature
 //! shape flowing in and out, so the executor can preplan every scratch
 //! buffer once and never allocate inside the forward loop. Weight-bearing
-//! steps carry a [`Kernel`] in the storage format the cost model picked;
-//! the public [`LayerPlan`] mirrors that decision for reporting.
+//! steps carry a [`Kernel`] in the storage format the cost model picked,
+//! packed for its kernel at compile time (a CSR conv's filters as offsets
+//! into the zero-padded sample, [`PackedConv`]); the public
+//! [`LayerPlan`] mirrors that decision for reporting.
 
-use sb_tensor::{Conv2dGeometry, PackedRhs, SparseMatrix};
+use sb_tensor::{Conv2dGeometry, PackedConv, PackedRhs, SparseMatrix};
 
 /// Per-sample feature shape between two compiled steps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,9 +46,10 @@ pub enum ExecFormat {
     /// Dense weights, packed once at compile time into the panels of
     /// sb-tensor's register tile ([`sb_tensor::PackedRhs`]).
     Dense,
-    /// Compressed sparse rows ([`SparseMatrix`]): the row tile for a
-    /// linear layer, the direct sparse convolution for a conv; wins when
-    /// unstructured pruning leaves few enough nonzeros to beat the tile.
+    /// Compressed sparse rows: the row tile over a [`SparseMatrix`] for a
+    /// linear layer, the output-stationary sparse convolution over a
+    /// [`PackedConv`] for a conv; wins when unstructured pruning leaves
+    /// few enough nonzeros to beat the tile.
     Csr,
     /// Physically smaller dense weights: rows zeroed by structured pruning
     /// are dropped and the shrink propagates into the next layer's columns.
@@ -94,8 +97,10 @@ impl ExecFormat {
 pub(crate) enum Kernel {
     /// `[out, in_cols]` matrix packed for the register tile.
     Dense(PackedRhs),
-    /// CSR `[out, in_cols]` matrix.
+    /// CSR `[out, in_cols]` matrix of a linear layer.
     Csr(SparseMatrix),
+    /// CSR conv filters packed as offsets into the zero-padded sample.
+    CsrConv(PackedConv),
     /// Blocked-sparse `[out, in_cols]` matrix with fixed block width.
     Bsr(crate::formats::BsrMatrix),
     /// Dense values + per-row occupancy bitmask, `[out, in_cols]`.
@@ -107,13 +112,14 @@ impl Kernel {
         match self {
             Kernel::Dense(w) => w.rows(),
             Kernel::Csr(s) => s.rows(),
+            Kernel::CsrConv(p) => p.rows(),
             Kernel::Bsr(b) => b.rows(),
             Kernel::Bitmap(m) => m.rows(),
         }
     }
 
     /// Multiply-accumulates one input row costs in this format (a conv
-    /// kernel's "row" is one output pixel's patch, which the direct CSR
+    /// kernel's "row" is one output pixel's patch, which the sparse
     /// convolution never builds but counts the same way). BSR counts
     /// every stored lane — the kernel multiplies zeros inside live
     /// blocks — while bitmap counts exactly its set bits.
@@ -121,6 +127,7 @@ impl Kernel {
         match self {
             Kernel::Dense(w) => (w.rows() * w.cols()) as u64,
             Kernel::Csr(s) => s.nnz() as u64,
+            Kernel::CsrConv(p) => p.nnz() as u64,
             Kernel::Bsr(b) => b.stored_lanes() as u64,
             Kernel::Bitmap(m) => m.nnz() as u64,
         }
@@ -133,6 +140,7 @@ impl Kernel {
         match self {
             Kernel::Dense(w) => w.rows() * w.cols() * 4,
             Kernel::Csr(s) => s.storage_bytes(),
+            Kernel::CsrConv(p) => p.storage_bytes(),
             Kernel::Bsr(b) => b.storage_bytes(),
             Kernel::Bitmap(m) => m.storage_bytes(),
         }
@@ -144,8 +152,8 @@ impl Kernel {
 pub(crate) enum Step {
     /// `y = x · Wᵀ + b` on flat features.
     Matmul { kernel: Kernel, bias: Vec<f32> },
-    /// Direct sparse convolution for a CSR kernel; otherwise im2col →
-    /// `rows · Wᵀ + b` → NCHW reorder.
+    /// The packed sparse convolution for a `CsrConv` kernel; otherwise
+    /// im2col → `rows · Wᵀ + b` → NCHW reorder.
     Conv {
         kernel: Kernel,
         bias: Vec<f32>,

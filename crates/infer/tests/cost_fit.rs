@@ -33,8 +33,8 @@ fn samples() -> Vec<Sample> {
         "words",
         "spatial",
         "stride",
-        "tap_rows",
-        "tap_pixels",
+        "tiles",
+        "padded",
         "format",
         "ns_per_sample",
     ]
@@ -59,8 +59,8 @@ fn samples() -> Vec<Sample> {
                     words: n(5),
                     spatial: n(6),
                     stride: n(7),
-                    tap_rows: n(8),
-                    tap_pixels: n(9),
+                    tiles: n(8),
+                    padded: n(9),
                 },
                 format,
                 ns: cells[idx[11]].parse().expect("time"),

@@ -14,13 +14,19 @@
 //! model of the zoo, pruned by global magnitude, is compiled forced CSR
 //! and forced dense, and the two must agree bit for bit on finite
 //! inputs.
+//!
+//! The packed kernel that sb-infer runs (`PackedConv::run`, over a padded
+//! scratch buffer it is handed) has a property of its own: output widths
+//! 1–19, so that every tail of its 8-wide tile runs, each kernel run twice
+//! over one scratch buffer that first holds NaN and then another
+//! geometry's padded sample.
 
 mod common;
 
 use sb_check::{check, prop_assert, prop_assert_eq, Config, Rng};
 use sb_infer::{CompileOptions, CompiledModel, ExecFormat};
 use sb_tensor::{
-    im2col_into, rows_to_nchw, sparse_conv_into, Conv2dGeometry, SparseMatrix, Tensor,
+    im2col_into, rows_to_nchw, sparse_conv_into, Conv2dGeometry, PackedConv, SparseMatrix, Tensor,
 };
 
 /// Pinned suite seed: the CSR kernel suite owns `_0013`.
@@ -210,6 +216,103 @@ fn direct_sparse_conv_is_bitwise_the_unfolded_csr_product() {
                 }
             }
             assert_bitwise(&got, &want, &format!("sparse_conv_into {g:?}"))
+        },
+    );
+}
+
+/// The unfolded reference for one conv: `im2col_into`, the CSR row loop
+/// with `bias`, then `rows_to_nchw`.
+fn unfolded_reference(x: &[f32], w: &SparseMatrix, b: &[f32], g: &Conv2dGeometry) -> Vec<f32> {
+    let n = x.len() / (g.in_channels * g.in_h * g.in_w);
+    let spatial = g.out_h() * g.out_w();
+    let out_len = n * w.rows() * spatial;
+    let mut patch = vec![0.0f32; n * spatial * g.patch_len()];
+    im2col_into(x, g, &mut patch);
+    let mut rows = vec![0.0f32; out_len];
+    csr_reference(w, b, &patch, &mut rows);
+    let mut want = vec![0.0f32; out_len];
+    if out_len > 0 {
+        rows_to_nchw(&rows, w.rows(), spatial, &mut want);
+    }
+    want
+}
+
+/// A geometry whose output is `wide + 1` pixels wide: kernels of 1–5 taps
+/// per axis, strides 1–3 and padding of up to kernel + 1 per axis (less
+/// where the width would not fit), from `(channels, extra height, extra
+/// width)`, `(kernel height, kernel width)`, `(stride, padding above,
+/// padding left)` and `wide`, each counted from its least value.
+fn geometry_of_width(params: &GeometryParams, wide: usize) -> Conv2dGeometry {
+    let &((c, extra_h, extra_w), (kh, kw), (s, ph, pw)) = params;
+    let (kernel_h, kernel_w, stride, out_w) = (kh + 1, kw + 1, s + 1, wide + 1);
+    let padding_h = ph.min(kernel_h + 1);
+    // in_w = (out_w − 1)·stride + kernel_w − 2·padding_w + r, r < stride.
+    let reach = (out_w - 1) * stride + kernel_w;
+    let padding_w = pw.min(kernel_w + 1).min((reach - 1) / 2);
+    Conv2dGeometry {
+        in_channels: c + 1,
+        in_h: kernel_h.saturating_sub(2 * padding_h).max(1) + extra_h,
+        in_w: reach - 2 * padding_w + extra_w % stride,
+        kernel_h,
+        kernel_w,
+        stride,
+        padding_h,
+        padding_w,
+    }
+}
+
+#[test]
+fn packed_conv_is_bitwise_on_every_tile_tail_over_reused_scratch() {
+    check(
+        "infer::packed_conv_is_bitwise_on_every_tile_tail_over_reused_scratch",
+        Config::new(SUITE).cases(256),
+        |rng| {
+            // Output widths 1–19: every tail of the 8-wide tile.
+            let params = (geometry_params(rng), rng.below(19));
+            let other = (geometry_params(rng), rng.below(19));
+            (
+                (params, other),
+                (rng.below(4), rng.below(7)),
+                rng.below(1 << 20) as u64,
+                rng.coin(0.5),
+            )
+        },
+        |&(((params, wide), (other, other_wide)), (n, out_c), seed, specials)| {
+            let (g, h) = (geometry_of_width(&params, wide), geometry_of_width(&other, other_wide));
+            let out_w = wide + 1;
+            prop_assert_eq!(g.out_w(), out_w);
+            let mut rng = Rng::seed_from(seed);
+            let w = weights(&mut rng, out_c, g.patch_len());
+            let b = bias(&mut rng, out_c);
+            let x: Vec<f32> = (0..n * g.in_channels * g.in_h * g.in_w)
+                .map(|_| activation(&mut rng, specials))
+                .collect();
+            let want = unfolded_reference(&x, &w, &b, &g);
+            let spatial = g.out_h() * out_w;
+            let packed = PackedConv::pack(&w, &g);
+            // Another geometry's kernel and sample, which leave their own
+            // padded copy in the shared scratch.
+            let other_w = weights(&mut rng, 2, h.patch_len());
+            let other_x: Vec<f32> = (0..h.in_channels * h.in_h * h.in_w)
+                .map(|_| activation(&mut rng, specials))
+                .collect();
+            let mut other_out = vec![0.0f32; 2 * h.out_h() * h.out_w()];
+            let len = PackedConv::padded_len(&g).max(PackedConv::padded_len(&h));
+            let mut padded = vec![f32::NAN; len];
+            for pass in ["NaN-filled", "reused"] {
+                if pass == "reused" {
+                    PackedConv::pack(&other_w, &h).run(&other_x, &mut padded, &mut other_out);
+                }
+                let mut got = vec![f32::NAN; want.len()];
+                packed.run(&x, &mut padded, &mut got);
+                for (plane, &bj) in got.chunks_exact_mut(spatial).zip(b.iter().cycle()) {
+                    for o in plane {
+                        *o += bj;
+                    }
+                }
+                assert_bitwise(&got, &want, &format!("PackedConv::run, {pass} scratch, {g:?}"))?;
+            }
+            Ok(())
         },
     );
 }

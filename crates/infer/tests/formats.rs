@@ -17,8 +17,8 @@
 //!    (predicted ns per sample, `crates/infer/src/cost.rs`): unpruned →
 //!    Dense, extreme or block-clustered sparsity → CSR, short-row mid
 //!    sparsity and high-occupancy sparsity → Dense, a sparse 3×3 conv on
-//!    16×16 planes → CSR, a strided 1×1 conv and LeNet-5's conv2 at mid
-//!    density → Dense, and a fully-pruned layer falls back to Dense
+//!    16×16 planes and LeNet-5's conv2 at mid density → CSR, a strided
+//!    1×1 conv → Dense, and a fully-pruned layer falls back to Dense
 //!    rather than emitting an empty blocked/bitmap kernel.
 
 use sb_check::{check, prop_assert, prop_assert_eq, Config, Rng};
@@ -315,8 +315,8 @@ fn crossover_extreme_sparsity_picks_csr() {
 
 #[test]
 fn crossover_short_row_mid_sparsity_stays_dense() {
-    // 25% density on 32-wide rows: dense 133, CSR 151, bitmap 442, BSR
-    // 554. The tile's 0.13 ns per multiply-add leaves no sparse format
+    // 25% density on 32-wide rows: dense 205, CSR 255, bitmap 726, BSR
+    // 902. The tile's 0.2 ns per multiply-add leaves no sparse format
     // enough to win on rows this short.
     let model = single_linear_model(32, 32, |_, c| c % 4 == 0);
     assert_eq!(chosen_format(&model), ExecFormat::Dense);
@@ -324,17 +324,17 @@ fn crossover_short_row_mid_sparsity_stays_dense() {
 
 #[test]
 fn crossover_block_clustered_sparsity_picks_csr() {
-    // 12.5% density aligned to 4-wide blocks: CSR 225, BSR 277, dense
-    // 532, bitmap 720. BSR stores exactly the nonzeros, but the row
-    // tile's 0.39 ns per entry undercuts its 1.2 ns per block.
+    // 12.5% density aligned to 4-wide blocks: CSR 362, BSR 451, dense
+    // 819, bitmap 1,146. BSR stores exactly the nonzeros, but the row
+    // tile's 0.61 ns per entry undercuts its 1.9 ns per block.
     let model = single_linear_model(16, 256, |_, c| c < 32);
     assert_eq!(chosen_format(&model), ExecFormat::Csr);
 }
 
 #[test]
 fn crossover_high_occupancy_unstructured_stays_dense() {
-    // ~67% unstructured density: dense 416, CSR 857, BSR 1,083, bitmap
-    // 2,503. Every block is live, and no format streams faster than the
+    // ~67% unstructured density: dense 640, CSR 1,351, BSR 1,728, bitmap
+    // 3,901. Every block is live, and no format streams faster than the
     // tile.
     let model = single_linear_model(16, 200, |r, c| (r * 200 + c) % 3 != 0);
     assert_eq!(chosen_format(&model), ExecFormat::Dense);
@@ -366,9 +366,9 @@ fn single_conv_model(
 
 #[test]
 fn crossover_sparse_3x3_conv_on_16x16_planes_picks_csr() {
-    // 1/8 density, stride 1: direct CSR 8,501, dense 34,877 (19,169 in
-    // the tile, 15,708 in the unfold and reorder), bitmap 48,538, BSR
-    // 51,896.
+    // 1/8 density, stride 1: CSR 10,180 (5,760 in 2,304 tile steps, 4,420
+    // in the 2,600-element padded copy), dense 55,706, bitmap 73,011, BSR
+    // 80,077.
     let model = single_conv_model(Conv2dGeometry::square(8, 16, 16, 3, 1, 1), 8, |r, c| {
         (r * 72 + c) % 8 == 0
     });
@@ -377,8 +377,10 @@ fn crossover_sparse_3x3_conv_on_16x16_planes_picks_csr() {
 
 #[test]
 fn crossover_dense_1x1_strided_conv_stays_dense() {
-    // 70% density, stride 2: dense 3,436, CSR 8,561, BSR 10,732, bitmap
-    // 11,936. Eight input channels give the unfold little to copy.
+    // 70% density, stride 2: dense 6,042, CSR 5,631, BSR 17,715, bitmap
+    // 19,706. Eight input channels give the unfold little to copy, and
+    // CSR, which pads the whole input for a quarter of its pixels, falls
+    // short of the 20% margin.
     let model = single_conv_model(Conv2dGeometry::square(8, 16, 16, 1, 2, 0), 16, |r, c| {
         (r * 8 + c) % 10 < 7
     });
@@ -386,13 +388,14 @@ fn crossover_dense_1x1_strided_conv_stays_dense() {
 }
 
 #[test]
-fn crossover_lenet5_conv2_at_30_percent_stays_dense() {
+fn crossover_lenet5_conv2_at_30_percent_picks_csr() {
     // LeNet-5's conv2 (6 → 16 channels, 5×5, padding 2, 8×8 planes) at
-    // 30% density: dense 28,064, CSR 37,699, BSR 42,214, bitmap 66,765.
-    // Eight-pixel rows give the direct kernel's 7.7 ns per tap row little
-    // to amortize.
+    // 30% density: CSR 15,882 (720 weights × 8 one-tile rows = 5,760 tile
+    // steps at 2.5 ns, and an 872-element padded copy), dense 44,211,
+    // BSR 65,715, bitmap 102,304. An 8-pixel row is one register tile, so
+    // each stored weight costs one tile step per row.
     let model = single_conv_model(Conv2dGeometry::square(6, 8, 8, 5, 1, 2), 16, |r, c| {
         (r * 150 + c) % 10 < 3
     });
-    assert_eq!(chosen_format(&model), ExecFormat::Dense);
+    assert_eq!(chosen_format(&model), ExecFormat::Csr);
 }

@@ -1,5 +1,5 @@
 //! Convolution lowering: `im2col` / `col2im`, the reorders between
-//! product rows and images, the direct sparse convolution, and
+//! product rows and images, the packed sparse convolution, and
 //! output-geometry math.
 //!
 //! A convolution is a matrix product over a patch matrix: the input
@@ -19,14 +19,15 @@
 //! adds its contributions in ascending `(oy, ox)`.
 //!
 //! A CSR-weighted convolution skips the lowering altogether.
-//! [`sparse_conv_into`] (direct sparse convolution, Park et al., ICLR
-//! 2017) walks each filter's stored weights in ascending patch column and
-//! adds `v ×` the shifted input row into the output plane, over the output
-//! range [`Conv2dGeometry::tap_outputs`] gives for that tap. Every output
-//! adds the products of its in-image taps in the order the unfolded
-//! product would, from `+0.0`, so it has that product's bits for finite
-//! weights: a skipped padded tap would only have added `±0.0` to an
-//! accumulator that can never be `−0.0`.
+//! [`PackedConv`] (direct sparse convolution, Park et al., ICLR 2017, run
+//! output-stationary as in Elsen et al., "Fast Sparse ConvNets", CVPR
+//! 2020) turns each stored weight `(c, ky, kx)` into an offset into the
+//! zero-padded sample once, at pack time. Its kernel copies each sample
+//! into a zero-padded buffer and keeps a tile of one output row in
+//! registers while it walks the filter's weights in ascending column, so
+//! every output adds the products the unfolded CSR product would, padded
+//! taps times `+0.0` included, in the same order: the same bits.
+//! [`sparse_conv_into`] packs and runs it in one call.
 
 use crate::sparse::SparseMatrix;
 use crate::tensor::Tensor;
@@ -114,25 +115,6 @@ impl Conv2dGeometry {
     /// Patch length: `in_channels · kernel_h · kernel_w`.
     pub fn patch_len(&self) -> usize {
         self.in_channels * self.kernel_h * self.kernel_w
-    }
-
-    /// The output rows and the output columns at which kernel tap
-    /// `(ky, kx)` reads inside the image: the outputs `o` whose input
-    /// `o·stride + t − padding` lies in the image, on each axis. A tap
-    /// contributes to `rows.len() · cols.len()` output pixels, over
-    /// `rows.len()` output rows when `cols` is not empty.
-    /// [`sparse_conv_into`] runs each stored weight over these ranges, and
-    /// sb-infer's cost model counts them.
-    pub fn tap_outputs(&self, ky: usize, kx: usize) -> (Range<usize>, Range<usize>) {
-        let axis = |t: usize, pad: usize, len: usize, out: usize| {
-            // o·s + t ≥ pad, and o·s + t < len + pad.
-            let hi = (len + pad).saturating_sub(t).div_ceil(self.stride).min(out);
-            pad.saturating_sub(t).div_ceil(self.stride).min(hi)..hi
-        };
-        (
-            axis(ky, self.padding_h, self.in_h, self.out_h()),
-            axis(kx, self.padding_w, self.in_w, self.out_w()),
-        )
     }
 }
 
@@ -256,99 +238,223 @@ fn unfold(x: &[f32], g: &Conv2dGeometry, out: &mut [f32], kh: usize, kw: usize) 
     }
 }
 
-/// Direct sparse convolution of the contiguous `[C, H, W]` samples of `x`
-/// by the CSR filters `w` (`[C_out, C·KH·KW]`, the layout of a conv
-/// weight) into `[C_out, OH, OW]` samples in `out`, with no bias, on the
-/// calling thread. Every element of `out` is written.
+/// Output pixels per register tile of [`PackedConv::run`]: two SSE2
+/// vectors of `f32`.
+const TILE: usize = 8;
+
+/// CSR conv filters packed once for one geometry: each stored weight
+/// `(c, ky, kx)` of a filter becomes its offset `c·Hp·Wp + ky·Wp + kx`
+/// into the sample zero-padded to `[C, Hp, Wp]` (`Hp = H + 2·padding_h`,
+/// `Wp = W + 2·padding_w`), beside its value, in ascending column.
 ///
-/// Each output plane starts at `+0.0`; then each stored weight
-/// `(c, ky, kx)` of its filter, in ascending column, adds `v × x[c]` at
-/// the tap's offset over [`Conv2dGeometry::tap_outputs`]. No patch matrix
-/// and no row reorder is built. Each output therefore adds the products
-/// of its in-image taps in ascending patch column, which is the CSR
-/// product of the unfolded patch rows with a padded tap left out; for
-/// finite weights the two agree bit for bit.
-///
-/// # Panics
-///
-/// Panics if `w` does not have `geom`'s patch length as its columns, or
-/// if `x` is not whole samples of `geom` or `out` is not their output.
-pub fn sparse_conv_into(x: &[f32], w: &SparseMatrix, geom: &Conv2dGeometry, out: &mut [f32]) {
-    assert_eq!(w.cols(), geom.patch_len(), "sparse conv filters are not patch-wide");
-    let in_len = geom.in_channels * geom.in_h * geom.in_w;
-    let n = x.len().checked_div(in_len).unwrap_or(0);
-    let out_len = n * w.rows() * geom.out_h() * geom.out_w();
-    assert!(x.len() == n * in_len && out.len() == out_len, "partial sparse_conv_into samples");
-    if out.is_empty() {
-        return;
-    }
-    // The tap count is a constant in each arm, so a stored column splits
-    // into (channel, tap) without a division, and the tap table lives on
-    // the stack.
-    fn table<const T: usize>(g: &Conv2dGeometry) -> [(Range<usize>, Range<usize>); T] {
-        std::array::from_fn(|t| g.tap_outputs(t / g.kernel_w, t % g.kernel_w))
-    }
-    match (geom.kernel_h, geom.kernel_w) {
-        (1, 1) => direct::<1>(x, w, geom, out, &table::<1>(geom), 1),
-        (3, 3) => direct::<9>(x, w, geom, out, &table::<9>(geom), 3),
-        (5, 5) => direct::<25>(x, w, geom, out, &table::<25>(geom), 5),
-        (kh, kw) => {
-            let taps: Vec<_> = (0..kh * kw).map(|t| geom.tap_outputs(t / kw, t % kw)).collect();
-            direct::<0>(x, w, geom, out, &taps, kw)
-        }
-    }
+/// [`PackedConv::run`] copies each sample into that padded buffer and then
+/// computes, for each (filter, output row), [`TILE`] outputs at a time in
+/// registers: output `(oy, ox)` of a weight at offset `o` reads the padded
+/// sample at `o + oy·stride·Wp + ox·stride`, so a tile's inputs for one
+/// weight are one contiguous (at stride 1) or evenly strided run. There is
+/// no tap-range logic and no accumulator load or store per weight. A
+/// caller with fixed weights (sb-infer's CSR conv step) packs them at
+/// compile time; [`sparse_conv_into`] packs on each call.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PackedConv {
+    geom: Conv2dGeometry,
+    /// `row_ptr[j]..row_ptr[j + 1]` indexes filter `j`'s stored weights.
+    row_ptr: Vec<u32>,
+    offsets: Vec<u32>,
+    values: Vec<f32>,
 }
 
-/// [`sparse_conv_into`]'s loop over `taps`, the output rows and columns of
-/// each of the `kh × kw` taps in row-major order (`out` non-empty). `T` is
-/// the tap count when it is a constant, else 0.
-#[inline(always)]
-fn direct<const T: usize>(
-    x: &[f32],
-    w: &SparseMatrix,
-    g: &Conv2dGeometry,
-    out: &mut [f32],
-    taps: &[(Range<usize>, Range<usize>)],
-    kw: usize,
-) {
-    let (h, iw, ow, s) = (g.in_h, g.in_w, g.out_w(), g.stride);
-    let plane = g.out_h() * ow;
-    let samples = x.chunks_exact(g.in_channels * h * iw);
-    for (sample, planes) in samples.zip(out.chunks_exact_mut(w.rows() * plane)) {
-        for (j, acc) in planes.chunks_exact_mut(plane).enumerate() {
-            acc.fill(0.0);
+impl PackedConv {
+    /// Packs the CSR filters `w` (`[C_out, C·KH·KW]`, the layout of a conv
+    /// weight) for `geom`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w` does not have `geom`'s patch length as its columns, or
+    /// if the padded sample has more than `u32::MAX` elements.
+    pub fn pack(w: &SparseMatrix, geom: &Conv2dGeometry) -> PackedConv {
+        assert_eq!(w.cols(), geom.patch_len(), "sparse conv filters are not patch-wide");
+        let (hp, wp) = padded_extent(geom);
+        assert!(
+            geom.in_channels * hp * wp <= u32::MAX as usize,
+            "padded sample too large for u32 offsets"
+        );
+        let (kw, taps) = (geom.kernel_w, geom.kernel_h * geom.kernel_w);
+        let mut row_ptr = Vec::with_capacity(w.rows() + 1);
+        row_ptr.push(0);
+        let (mut offsets, mut values) = (Vec::with_capacity(w.nnz()), Vec::with_capacity(w.nnz()));
+        for j in 0..w.rows() {
             let (cols, vals) = w.row(j);
-            for (&col, &v) in cols.iter().zip(vals) {
-                let ntaps = if T == 0 { taps.len() } else { T };
-                let (c, t) = (col as usize / ntaps, col as usize % ntaps);
-                let (rows, outs) = &taps[t];
-                let len = outs.len();
-                if len == 0 || rows.is_empty() {
-                    continue;
+            for &col in cols {
+                let (c, t) = (col as usize / taps, col as usize % taps);
+                offsets.push((c * hp * wp + t / kw * wp + t % kw) as u32);
+            }
+            values.extend_from_slice(vals);
+            row_ptr.push(offsets.len() as u32);
+        }
+        PackedConv {
+            geom: *geom,
+            row_ptr,
+            offsets,
+            values,
+        }
+    }
+
+    /// Number of filters: the output channels.
+    pub fn rows(&self) -> usize {
+        self.row_ptr.len() - 1
+    }
+
+    /// Number of stored weights.
+    pub fn nnz(&self) -> usize {
+        self.values.len()
+    }
+
+    /// Bytes of the packed filters: a value and an offset per stored
+    /// weight plus the row pointers, the same as their CSR form.
+    pub fn storage_bytes(&self) -> usize {
+        (self.values.len() + self.offsets.len() + self.row_ptr.len()) * 4
+    }
+
+    /// The register tiles one filter computes per sample of `geom`:
+    /// `out_h · ⌈out_w / TILE⌉`. Each stored weight of the filter is one
+    /// multiply-add step of each tile.
+    pub fn row_tiles(geom: &Conv2dGeometry) -> usize {
+        geom.out_h() * geom.out_w().div_ceil(TILE)
+    }
+
+    /// The scratch elements [`PackedConv::run`] writes per sample of
+    /// `geom`: the zero-padded `[C, Hp, Wp]` sample, then `TILE · stride`
+    /// zeros that a row's last tile may read past it for lanes it drops.
+    pub fn padded_len(geom: &Conv2dGeometry) -> usize {
+        let (hp, wp) = padded_extent(geom);
+        geom.in_channels * hp * wp + TILE * geom.stride
+    }
+
+    /// Convolves the contiguous `[C, H, W]` samples of `x` into their
+    /// `[C_out, OH, OW]` outputs in `out`, with no bias, on the calling
+    /// thread, using the first [`PackedConv::padded_len`] elements of
+    /// `padded` as the padded copy of each sample. Every element of `out`
+    /// and of that prefix is written, so both may hold anything
+    /// beforehand.
+    ///
+    /// Each output starts at `+0.0` and adds `v × input` for every stored
+    /// weight of its filter in ascending column, a padded tap multiplying
+    /// `+0.0`: the operations, in order, of the CSR product of the
+    /// unfolded patch rows (`im2col_into` writes padding as `+0.0`), so the
+    /// two agree bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not whole samples of the packed geometry, `out` is
+    /// not their output, or `padded` is shorter than
+    /// [`PackedConv::padded_len`].
+    pub fn run(&self, x: &[f32], padded: &mut [f32], out: &mut [f32]) {
+        let g = &self.geom;
+        let in_len = g.in_channels * g.in_h * g.in_w;
+        let n = x.len().checked_div(in_len).unwrap_or(0);
+        let plane = g.out_h() * g.out_w();
+        assert!(
+            x.len() == n * in_len && out.len() == n * self.rows() * plane,
+            "partial sparse conv samples"
+        );
+        let padded = &mut padded[..Self::padded_len(g)];
+        if out.is_empty() {
+            return;
+        }
+        // The stride is a constant in the first two arms, so a stride-1
+        // tile reads one contiguous run per weight.
+        for (sample, planes) in x.chunks_exact(in_len).zip(out.chunks_exact_mut(self.rows() * plane)) {
+            pad_sample(sample, g, padded);
+            match g.stride {
+                1 => self.planes(padded, planes, 1),
+                2 => self.planes(padded, planes, 2),
+                s => self.planes(padded, planes, s),
+            }
+        }
+    }
+
+    /// Every filter's output plane of one padded sample: for each output
+    /// row, whole tiles and then the tail, whose dropped lanes read the
+    /// padding or the zeros past the sample.
+    #[inline(always)]
+    fn planes(&self, padded: &[f32], planes: &mut [f32], s: usize) {
+        let (ow, wp) = (self.geom.out_w(), padded_extent(&self.geom).1);
+        let plane = self.geom.out_h() * ow;
+        for (j, acc_plane) in planes.chunks_exact_mut(plane).enumerate() {
+            let (lo, hi) = (self.row_ptr[j] as usize, self.row_ptr[j + 1] as usize);
+            let (offsets, values) = (&self.offsets[lo..hi], &self.values[lo..hi]);
+            for (oy, row) in acc_plane.chunks_exact_mut(ow).enumerate() {
+                let x = &padded[oy * s * wp..];
+                let mut tiles = row.chunks_exact_mut(TILE);
+                for (t, dst) in (&mut tiles).enumerate() {
+                    dst.copy_from_slice(&tile(offsets, values, &x[t * TILE * s..], s));
                 }
-                let (ky, kx) = (t / kw, t % kw);
-                // The tap's first output and its input; each further
-                // output row is one plane row, and `s` input rows, on.
-                let iy0 = rows.start * s + ky - g.padding_h;
-                let src = &sample[c * h * iw + iy0 * iw + outs.start * s + kx - g.padding_w..];
-                let dst = &mut acc[rows.start * ow + outs.start..];
-                let pairs = dst.chunks_mut(ow).zip(src.chunks(s * iw)).take(rows.len());
-                if s == 1 {
-                    for (d, x) in pairs {
-                        for (o, &xv) in d[..len].iter_mut().zip(&x[..len]) {
-                            *o += v * xv;
-                        }
-                    }
-                } else {
-                    for (d, x) in pairs {
-                        for (o, &xv) in d[..len].iter_mut().zip(x.iter().step_by(s)) {
-                            *o += v * xv;
-                        }
+                let tail = tiles.into_remainder();
+                if !tail.is_empty() {
+                    let acc = tile(offsets, values, &x[ow / TILE * TILE * s..], s);
+                    for (o, &a) in tail.iter_mut().zip(&acc) {
+                        *o = a;
                     }
                 }
             }
         }
     }
+}
+
+/// `TILE` outputs of one filter, lane `t` reading `x[o + t·s]` for each
+/// stored weight at offset `o`: each lane starts at `+0.0` and adds its
+/// products in the weights' order.
+#[inline(always)]
+fn tile(offsets: &[u32], values: &[f32], x: &[f32], s: usize) -> [f32; TILE] {
+    let mut acc = [0.0f32; TILE];
+    for (&o, &v) in offsets.iter().zip(values) {
+        let src = &x[o as usize..][..(TILE - 1) * s + 1];
+        for (t, a) in acc.iter_mut().enumerate() {
+            *a += v * src[t * s];
+        }
+    }
+    acc
+}
+
+/// `(Hp, Wp)`: the input extent with its padding on both sides.
+fn padded_extent(g: &Conv2dGeometry) -> (usize, usize) {
+    (g.in_h + 2 * g.padding_h, g.in_w + 2 * g.padding_w)
+}
+
+/// Writes one `[C, H, W]` sample into `padded` as `[C, Hp, Wp]` with zero
+/// borders, then zeros the rest of `padded`.
+fn pad_sample(sample: &[f32], g: &Conv2dGeometry, padded: &mut [f32]) {
+    let (h, w, ph, pw) = (g.in_h, g.in_w, g.padding_h, g.padding_w);
+    let (hp, wp) = padded_extent(g);
+    let (body, slack) = padded.split_at_mut(g.in_channels * hp * wp);
+    for (chan, dst) in sample.chunks_exact(h * w).zip(body.chunks_exact_mut(hp * wp)) {
+        let (top, rest) = dst.split_at_mut(ph * wp);
+        top.fill(0.0);
+        let (rows, bottom) = rest.split_at_mut(h * wp);
+        for (src, row) in chan.chunks_exact(w).zip(rows.chunks_exact_mut(wp)) {
+            row[..pw].fill(0.0);
+            row[pw..pw + w].copy_from_slice(src);
+            row[pw + w..].fill(0.0);
+        }
+        bottom.fill(0.0);
+    }
+    slack.fill(0.0);
+}
+
+/// Direct sparse convolution of the contiguous `[C, H, W]` samples of `x`
+/// by the CSR filters `w` (`[C_out, C·KH·KW]`, the layout of a conv
+/// weight) into `[C_out, OH, OW]` samples in `out`, with no bias, on the
+/// calling thread: [`PackedConv::pack`] and [`PackedConv::run`] over a
+/// padded buffer of its own. Every element of `out` is written, with the
+/// bits of the CSR product of the unfolded patch rows.
+///
+/// # Panics
+///
+/// Panics as [`PackedConv::pack`] and [`PackedConv::run`] do.
+pub fn sparse_conv_into(x: &[f32], w: &SparseMatrix, geom: &Conv2dGeometry, out: &mut [f32]) {
+    let packed = PackedConv::pack(w, geom);
+    packed.run(x, &mut vec![0.0; PackedConv::padded_len(geom)], out);
 }
 
 /// Folds a patch-matrix gradient `[N·out_h·out_w, C·kh·kw]` back into an

@@ -24,9 +24,11 @@
 //! [`rows_to_nchw`] and [`nchw_to_rows`] beside them. The unfold only
 //! moves values, and the fold adds in the per-element loop's order, so
 //! their bits are that loop's. A convolution with CSR filters skips the
-//! lowering: [`sparse_conv_into`] adds each stored weight's shifted
-//! input rows straight into the output planes, over the output range
-//! [`Conv2dGeometry::tap_outputs`] gives its tap.
+//! lowering: [`PackedConv`] packs its filters once as offsets into a
+//! zero-padded sample and computes a register tile of one output row at a
+//! time, walking each filter's stored weights in ascending column, with
+//! the unfolded product's bits; [`sparse_conv_into`] packs and runs it in
+//! one call.
 //!
 //! The forward product `a · bᵀ` computes a register tile of outputs at a
 //! time over a packed copy of `b`. The tile has two callers:
@@ -66,6 +68,7 @@ mod tensor;
 
 pub use conv::{
     col2im, im2col, im2col_into, nchw_to_rows, rows_to_nchw, sparse_conv_into, Conv2dGeometry,
+    PackedConv,
 };
 pub use error::TensorError;
 pub use init::Rng;

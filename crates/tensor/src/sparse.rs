@@ -16,7 +16,7 @@
 //! is bit-identical to the one-output-at-a-time loop.
 //! [`SparseMatrix::dense_matmul_transposed`] calls it from its row blocks
 //! and sb-infer's CSR linear layers call it on their batch blocks. A CSR
-//! convolution runs [`crate::sparse_conv_into`] instead.
+//! convolution runs [`crate::PackedConv`] instead.
 
 use crate::tensor::Tensor;
 use sb_json::json_struct;

@@ -17,7 +17,15 @@
 # pairs of `benchmark --workload WORKLOAD --seconds SECONDS` (default 20),
 # the first run of a pair alternating between the sides, and prints both
 # medians of METRIC (default p50_ms) and CHANGE's ratio to BASE, with
-# every run's `correct` and `failed`.
+# every run's `correct` and `failed`. A METRIC with a dot in its name is
+# a per-layer one (e.g. `infer.lenet5_4x.auto_ms`): the runs then pass
+# `--trace 1`, and each run also prints every model's traced `auto_ms`
+# and `dense_ms`.
+#
+# WORKLOAD `speed` runs sb-infer's release speed suite instead
+# (`cargo test --release -p sb-infer --test speed`, built per layout seed
+# and side like the benchmark): for every floor it prints the measured
+# ratio and whether the floor held. PAIRS, SECONDS and METRIC are unused.
 #
 # Environment: AB_DIR is the work directory (default: a new temporary
 # one, removed at exit unless AB_KEEP=1); BENCH_SEED is the benchmark's
@@ -27,7 +35,7 @@
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
-    sed -n '2,25p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,35p' "$0" | sed 's/^# \{0,1\}//'
     exit 2
 fi
 base=$1 change=$2 workload=$3
@@ -44,7 +52,7 @@ fi
 # Hot symbols: label and a pattern for `nm -C`.
 symbols=(
     "csr-row-tile|sb_tensor::sparse::SparseMatrix::matmul_rows$"
-    "direct-conv|sb_tensor::conv::sparse_conv_into$"
+    "packed-conv|sb_tensor::conv::PackedConv::run$"
     "exec-matmul_rows|sb_infer::exec::matmul_rows$"
     "tile|sb_tensor::linalg::PackedRhs::matmul_rows$"
     "im2col_into|sb_tensor::conv::im2col_into$"
@@ -64,17 +72,35 @@ done
 
 bin() { echo "$work/tgt-$1-$2/release/benchmark"; }
 
+# The speed suite's test binary of one build.
+speed_bin() {
+    find "$work/tgt-$1-$2/release/deps" -maxdepth 1 -type f -perm -u+x -name 'speed-*' | head -1
+}
+
+build() {
+    local side=$1 seed=$2
+    export RUSTFLAGS="-C link-arg=-Wl,--shuffle-sections=*=$seed"
+    export CARGO_TARGET_DIR="$work/tgt-$side-$seed"
+    if [ "$workload" = speed ]; then
+        cargo test --release --offline --quiet --no-run -p sb-infer --test speed \
+            --manifest-path "$work/src-$side/Cargo.toml"
+        speed_bin "$side" "$seed"
+    else
+        cargo build --release --offline --quiet \
+            --manifest-path "$work/src-$side/crates/bench/src/bin/benchmark/Cargo.toml"
+        bin "$side" "$seed"
+    fi
+    unset RUSTFLAGS CARGO_TARGET_DIR
+}
+
 for seed in $(seq 1 "$seeds"); do
     for side in a b; do
-        RUSTFLAGS="-C link-arg=-Wl,--shuffle-sections=*=$seed" \
-            CARGO_TARGET_DIR="$work/tgt-$side-$seed" \
-            cargo build --release --offline --quiet \
-            --manifest-path "$work/src-$side/crates/bench/src/bin/benchmark/Cargo.toml"
+        exe=$(build "$side" "$seed")
         line="layout $seed side $side offsets mod 64:"
         for entry in "${symbols[@]}"; do
             # A symbol one side lacks (a kernel the change adds or
             # deletes) is left out of that side's line.
-            addr=$(nm -C "$(bin "$side" "$seed")" | grep -E " [Tt] ${entry#*|}" | head -1 | cut -d' ' -f1 || true)
+            addr=$(nm -C "$exe" | grep -E " [Tt] ${entry#*|}" | head -1 | cut -d' ' -f1 || true)
             if [ -n "$addr" ]; then
                 line+=" ${entry%%|*}=$((16#$addr % 64))"
             fi
@@ -83,13 +109,38 @@ for seed in $(seq 1 "$seeds"); do
     done
 done
 
-# The metric, `correct` and `failed` from a run's last output line.
+if [ "$workload" = speed ]; then
+    # Each floor on its own, so that its ratio line is its own.
+    for seed in $(seq 1 "$seeds"); do
+        for side in a b; do
+            exe=$(speed_bin "$side" "$seed")
+            for t in $("$exe" --list 2>/dev/null | sed -n 's/: test$//p'); do
+                verdict=pass
+                out=$("$exe" --exact "$t" --nocapture 2>&1) || verdict=FAIL
+                ratio=$(printf '%s\n' "$out" | sed -n 's/^speedup \([0-9.]*\)x.*/\1/p' | tail -1)
+                echo "layout $seed side $side: $t ratio=${ratio:--} $verdict"
+            done
+        done
+    done
+    exit 0
+fi
+
+trace=0
+case $metric in *.*) trace=1 ;; esac
+
+# The metric, `correct` and `failed` from a run's last output line, then
+# (traced runs) every model's `auto_ms`/`dense_ms`.
 read_run() {
     python3 -c '
 import json, sys
 r = json.loads(sys.stdin.read().strip().splitlines()[-1])
-m = r["metrics"][sys.argv[1]]["value"]
-print(m, str(r["correct"]).lower(), r["failed"])
+m = r["metrics"]
+out = [str(m[sys.argv[1]]["value"]), str(r["correct"]).lower(), str(r["failed"])]
+for k in sorted(m):
+    if k.endswith(".auto_ms"):
+        d = m.get(k[: -len("auto_ms")] + "dense_ms", {}).get("value")
+        out.append("%s=%.3g/%s" % (k[: -len(".auto_ms")], m[k]["value"], "-" if d is None else "%.3g" % d))
+print(" ".join(out))
 ' "$metric"
 }
 
@@ -104,10 +155,11 @@ for seed in $(seq 1 "$seeds"); do
         for side in $order; do
             # A run whose check fails exits 1 but still prints its line.
             raw=$("$(bin "$side" "$seed")" --workload "$workload" --seed "$bench_seed" \
-                --seconds "$seconds" || true)
+                --seconds "$seconds" --trace "$trace" || true)
             out=$(printf '%s\n' "$raw" | read_run)
             set -- $out
-            echo "layout $seed pair $p side $side: $metric=$1 correct=$2 failed=$3"
+            models=${*:4}
+            echo "layout $seed pair $p side $side: $metric=$1 correct=$2 failed=$3${models:+ auto/dense ms: $models}"
             if [ "$side" = a ]; then runs_a+=("$1"); else runs_b+=("$1"); fi
         done
     done
