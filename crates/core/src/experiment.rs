@@ -13,8 +13,7 @@ use crate::strategy::StrategyKind;
 use sb_data::{batches_of, DatasetSpec, Split, SyntheticVision};
 use sb_metrics::{mean_std, MeanStd};
 use sb_nn::{
-    evaluate, models, EarlyStopping, EvalMetrics, LrSchedule, NetworkExt, ParamSnapshot,
-    TrainConfig, Trainer,
+    models, EarlyStopping, EvalMetrics, LrSchedule, NetworkExt, ParamSnapshot, TrainConfig, Trainer,
 };
 use sb_runtime::{JobQueue, JobSpec};
 use sb_tensor::Rng;
@@ -485,7 +484,7 @@ impl ExperimentRunner {
             restore_best: true,
         });
         let mut epoch_rng = Rng::seed_from(config.pretrain.weights_seed ^ 0x0E90C4);
-        trainer
+        let report = trainer
             .fit(
                 &mut net,
                 optimizer.as_mut(),
@@ -502,7 +501,9 @@ impl ExperimentRunner {
                 &val,
             )
             .unwrap_or_else(|d| panic!("pretraining diverged: {d}"));
-        let metrics = evaluate(&mut net, &val);
+        let metrics = report
+            .final_metrics
+            .expect("a validation split is never empty");
         let snapshot = net.snapshot();
         (net, metrics, snapshot, init_snapshot)
     }

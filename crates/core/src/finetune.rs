@@ -274,6 +274,7 @@ pub fn prune_and_retrain(
 
     let mut outcome: Option<PruneOutcome> = None;
     let mut before: Option<EvalMetrics> = None;
+    let mut after: Option<EvalMetrics> = None;
     let mut epochs_run = 0usize;
 
     for iter in 1..=iterations {
@@ -299,9 +300,16 @@ pub fn prune_and_retrain(
             pruner.prune(network, strategy, ratio, rng)?
         });
 
-        if before.is_none() {
-            before = Some(evaluate(network, &val));
-        }
+        // The first iteration's pruned weights are evaluated once: they
+        // are `before`, and under `Finetune` also the weights fine-tuning
+        // starts from.
+        let start = if before.is_none() {
+            let pruned = evaluate(network, &val);
+            before = Some(pruned);
+            (config.weight_policy == WeightPolicy::Finetune).then_some(pruned)
+        } else {
+            None
+        };
 
         // The fine-tuning axis (Section 2.3): where training resumes from.
         // Masks are preserved across the weight reset: collect them, swap
@@ -348,7 +356,7 @@ pub fn prune_and_retrain(
         let mut epoch_rng = rng.fork(iter as u64);
         let pre_finetune = network.snapshot();
         let _finetune = sb_trace::span("finetune");
-        match trainer.fit(
+        match trainer.fit_from(
             network,
             optimizer.as_mut(),
             |epoch| {
@@ -362,19 +370,26 @@ pub fn prune_and_retrain(
                 )
             },
             &val,
+            start,
         ) {
-            Ok(report) => epochs_run += report.epoch_losses.len(),
+            Ok(report) => {
+                epochs_run += report.epoch_losses.len();
+                after = report.final_metrics;
+            }
             Err(_diverged) => {
                 // Fine-tuning blew up (non-finite activations). The run
                 // is still a valid data point: fall back to the pruned,
                 // un-fine-tuned network rather than aborting the grid.
                 network.restore(&pre_finetune);
+                after = None;
             }
         }
     }
 
     let outcome = outcome.expect("at least one iteration ran");
-    let after = evaluate(network, &val);
+    // The last fine-tuning reports the metrics of the weights it returned;
+    // only a diverged one leaves them to be measured.
+    let after = after.unwrap_or_else(|| evaluate(network, &val));
     Ok(PruneFinetuneResult {
         target_compression,
         compression: outcome.compression_ratio,

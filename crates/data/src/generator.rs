@@ -2,6 +2,7 @@
 
 use crate::spec::{DatasetSpec, Split};
 use sb_tensor::{Rng, Tensor};
+use std::sync::OnceLock;
 
 /// One class's generative template for one channel: two oriented
 /// sinusoidal gratings plus a Gaussian blob.
@@ -75,9 +76,14 @@ struct SampleJitter {
 
 /// A deterministic, class-conditional synthetic image dataset.
 ///
-/// Construction materializes the per-class generative templates; sample
-/// images are generated on demand (and are pure functions of
-/// `(spec.seed, split, index)`).
+/// Construction materializes the per-class generative templates. Every
+/// image is a pure function of `(spec.seed, split, index)`. A split's
+/// images are generated once, on the first [`batches_of`] over that split,
+/// and kept for the life of the object, so later epochs and grid cells
+/// gather batches from memory; [`SyntheticVision::sample`] generates a
+/// single image and leaves the cache alone.
+///
+/// [`batches_of`]: crate::batches_of
 ///
 /// # Example
 ///
@@ -89,10 +95,22 @@ struct SampleJitter {
 /// assert_eq!(image.dims(), &[3, 16, 16]);
 /// assert!(label < 10);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct SyntheticVision {
     spec: DatasetSpec,
     protos: Vec<Vec<ChannelProto>>, // [class][channel]
+    train: OnceLock<Vec<f32>>,
+    val: OnceLock<Vec<f32>>,
+}
+
+impl std::fmt::Debug for SyntheticVision {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SyntheticVision")
+            .field("spec", &self.spec)
+            .field("train_cached", &self.train.get().is_some())
+            .field("val_cached", &self.val.get().is_some())
+            .finish()
+    }
 }
 
 impl SyntheticVision {
@@ -107,7 +125,12 @@ impl SyntheticVision {
         let protos = (0..spec.classes)
             .map(|_| (0..spec.channels).map(|_| ChannelProto::sample(&mut rng)).collect())
             .collect();
-        SyntheticVision { spec, protos }
+        SyntheticVision {
+            spec,
+            protos,
+            train: OnceLock::new(),
+            val: OnceLock::new(),
+        }
     }
 
     /// The dataset's specification.
@@ -141,6 +164,35 @@ impl SyntheticVision {
     /// Panics if `index >= len(split)`.
     pub fn sample(&self, split: Split, index: usize) -> (Tensor, usize) {
         let label = self.label(split, index);
+        let c = self.spec.channels;
+        let side = self.spec.side;
+        let mut data = Vec::with_capacity(c * side * side);
+        self.render(split, index, label, &mut data);
+        let image = Tensor::from_vec(data, &[c, side, side]).expect("sized above");
+        (image, label)
+    }
+
+    /// Every image of `split`, in index order, `C·side·side` values each.
+    /// The first call generates them on the calling thread (a concurrent
+    /// first call waits for it); every later call returns the same memory.
+    pub(crate) fn images(&self, split: Split) -> &[f32] {
+        let cache = match split {
+            Split::Train => &self.train,
+            Split::Val => &self.val,
+        };
+        cache.get_or_init(|| {
+            let spec = &self.spec;
+            let n = self.len(split);
+            let mut all = Vec::with_capacity(n * spec.channels * spec.side * spec.side);
+            for index in 0..n {
+                self.render(split, index, self.label(split, index), &mut all);
+            }
+            all
+        })
+    }
+
+    /// Appends the pixels of sample `index` (of class `label`) to `data`.
+    fn render(&self, split: Split, index: usize, label: usize, data: &mut Vec<f32>) {
         let split_salt = match split {
             Split::Train => 0x7A31u64,
             Split::Val => 0x563Du64,
@@ -172,7 +224,6 @@ impl SyntheticVision {
         let side = self.spec.side;
         let c = self.spec.channels;
         let inv = 1.0 / side as f32;
-        let mut data = Vec::with_capacity(c * side * side);
         for ci in 0..c {
             let proto = &self.protos[label][ci];
             for py in 0..side as isize {
@@ -185,8 +236,6 @@ impl SyntheticVision {
                 }
             }
         }
-        let image = Tensor::from_vec(data, &[c, side, side]).expect("sized above");
-        (image, label)
     }
 }
 

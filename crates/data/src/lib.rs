@@ -19,7 +19,10 @@
 //!
 //! Every image is a pure function of `(spec.seed, split, index)`:
 //! regenerating a dataset is exact, which is the reproducibility property
-//! the paper's recommendations demand.
+//! the paper's recommendations demand. A [`SyntheticVision`] generates
+//! each split once, on the first [`batches_of`] over it, and keeps the
+//! images (at most 14.2 MB per split, ImageNet-like train), so every
+//! later epoch and grid cell gathers its batches from memory.
 
 mod generator;
 mod loader;

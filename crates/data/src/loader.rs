@@ -10,6 +10,11 @@ pub type Batch = (Tensor, Vec<usize>);
 
 /// Materializes `split` into minibatches of (at most) `batch_size`.
 ///
+/// The split's images are generated on the first call for this dataset
+/// object and kept (see [`SyntheticVision`]); every call gathers its
+/// batches from that copy, bit for bit what [`SyntheticVision::sample`]
+/// generates.
+///
 /// * `shuffle`: when `Some(rng)`, the sample order is permuted (use a
 ///   per-epoch fork of the experiment RNG).
 /// * `flatten`: when true, images are flattened to `[N, C·H·W]` for MLP
@@ -35,14 +40,14 @@ pub fn batches_of(
     };
     let spec = data.spec();
     let feature_len = spec.channels * spec.side * spec.side;
+    let images = data.images(split);
     let mut batches = Vec::with_capacity(n.div_ceil(batch_size));
     for chunk in order.chunks(batch_size) {
         let mut flat = Vec::with_capacity(chunk.len() * feature_len);
         let mut labels = Vec::with_capacity(chunk.len());
         for &idx in chunk {
-            let (img, label) = data.sample(split, idx);
-            flat.extend_from_slice(img.data());
-            labels.push(label);
+            flat.extend_from_slice(&images[idx * feature_len..(idx + 1) * feature_len]);
+            labels.push(data.label(split, idx));
         }
         let dims: Vec<usize> = if flatten {
             vec![chunk.len(), feature_len]

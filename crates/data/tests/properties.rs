@@ -127,3 +127,103 @@ fn batch_rows_equal_individual_samples() {
         },
     );
 }
+
+/// Pinned seed of the split-cache properties below.
+const CACHE_SUITE: u64 = 0x7E45_0014;
+
+#[test]
+fn cached_batches_equal_stacked_samples() {
+    check(
+        "data::cached_batches_equal_stacked_samples",
+        Config::new(CACHE_SUITE).cases(24),
+        |rng| {
+            (
+                (rng.below(1000) as u64, rng.below(3)),
+                rng.below(40) + 1,
+                rng.coin(0.5).then(|| rng.below(1000) as u64),
+                (rng.coin(0.5), rng.coin(0.5)),
+            )
+        },
+        |((seed, preset), batch, shuffle, (val, flatten))| {
+            let spec = match preset {
+                0 => DatasetSpec::mnist_like(*seed),
+                1 => DatasetSpec::cifar_like(*seed),
+                _ => DatasetSpec::imagenet_like(*seed),
+            };
+            let data = SyntheticVision::new(spec.scaled_down(32));
+            // Shrinking may reach 0, which `batches_of` rejects.
+            let batch = (*batch).max(1);
+            let split = if *val { Split::Val } else { Split::Train };
+            let n = data.len(split);
+            let order: Vec<usize> = match shuffle {
+                Some(s) => Rng::seed_from(*s).permutation(n),
+                None => (0..n).collect(),
+            };
+            // The first call fills the split's cache, the second reads it.
+            for _ in 0..2 {
+                let mut rng = shuffle.map(Rng::seed_from);
+                let batches = batches_of(&data, split, batch, rng.as_mut(), *flatten);
+                let mut next = order.iter();
+                for (x, labels) in &batches {
+                    let spec = data.spec();
+                    let feat = spec.channels * spec.side * spec.side;
+                    let dims = if *flatten {
+                        vec![labels.len(), feat]
+                    } else {
+                        vec![labels.len(), spec.channels, spec.side, spec.side]
+                    };
+                    prop_assert_eq!(x.dims(), dims.as_slice());
+                    for (row, &label) in labels.iter().enumerate() {
+                        let index = *next.next().expect("no more rows than samples");
+                        let (img, l) = data.sample(split, index);
+                        prop_assert_eq!(l, label);
+                        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                        prop_assert_eq!(
+                            bits(&x.data()[row * feat..(row + 1) * feat]),
+                            bits(img.data())
+                        );
+                    }
+                }
+                prop_assert!(next.next().is_none(), "every sample appears once");
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn concurrent_first_calls_get_identical_batches() {
+    use std::sync::{Arc, Barrier};
+    const THREADS: usize = 4;
+    let spec = DatasetSpec::cifar_like(11).scaled_down(8);
+    let expected = batches_of(
+        &SyntheticVision::new(spec.clone()),
+        Split::Train,
+        16,
+        Some(&mut Rng::seed_from(5)),
+        false,
+    );
+    let data = Arc::new(SyntheticVision::new(spec));
+    let barrier = Arc::new(Barrier::new(THREADS));
+    let handles: Vec<_> = (0..THREADS)
+        .map(|_| {
+            let (data, barrier) = (Arc::clone(&data), Arc::clone(&barrier));
+            std::thread::spawn(move || {
+                barrier.wait();
+                batches_of(&data, Split::Train, 16, Some(&mut Rng::seed_from(5)), false)
+            })
+        })
+        .collect();
+    for handle in handles {
+        let got = handle.join().expect("no thread panics");
+        assert_eq!(got.len(), expected.len());
+        for ((x, l), (ex, el)) in got.iter().zip(&expected) {
+            assert_eq!(l, el);
+            assert!(x
+                .data()
+                .iter()
+                .zip(ex.data())
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
+    }
+}

@@ -40,6 +40,13 @@ pub enum CheckpointError {
         /// Version found in the file.
         found: u32,
     },
+    /// The header matches but a parameter snapshot does not: a missing or
+    /// extra snapshot, another name or value shape, or a mask of another
+    /// shape or with entries other than 0 and 1.
+    Malformed {
+        /// The first offending snapshot and what is wrong with it.
+        detail: String,
+    },
 }
 
 impl fmt::Display for CheckpointError {
@@ -52,6 +59,9 @@ impl fmt::Display for CheckpointError {
             }
             CheckpointError::UnsupportedVersion { found } => {
                 write!(f, "unsupported checkpoint version {found}")
+            }
+            CheckpointError::Malformed { detail } => {
+                write!(f, "checkpoint parameters are malformed: {detail}")
             }
         }
     }
@@ -93,12 +103,16 @@ impl Checkpoint {
         }
     }
 
-    /// Installs the checkpoint into `network`.
+    /// Installs the checkpoint into `network`. Every snapshot is checked
+    /// before the network is touched, so on error the network is
+    /// unchanged.
     ///
     /// # Errors
     ///
     /// Returns [`CheckpointError::FingerprintMismatch`] when the
-    /// architecture differs (parameter names or shapes).
+    /// architecture differs (parameter names or shapes), and
+    /// [`CheckpointError::Malformed`] when the snapshots disagree with the
+    /// header or hold an invalid mask.
     pub fn install(&self, network: &mut dyn Network) -> Result<(), CheckpointError> {
         if self.version != FORMAT_VERSION {
             return Err(CheckpointError::UnsupportedVersion {
@@ -122,7 +136,46 @@ impl Checkpoint {
                 });
             }
         }
+        self.check_params(&fp)
+            .map_err(|detail| CheckpointError::Malformed { detail })?;
         network.restore(&self.params);
+        Ok(())
+    }
+
+    /// Checks every snapshot against the network's `(name, shape)` list:
+    /// the count, each name and value shape, and each mask's shape and
+    /// binarity — everything [`NetworkExt::restore`] would otherwise
+    /// assert, or accept without the checks of `Param::set_mask`.
+    fn check_params(&self, fp: &[(String, Vec<usize>)]) -> Result<(), String> {
+        if self.params.len() != fp.len() {
+            return Err(format!(
+                "{} parameter snapshots for {} parameters",
+                self.params.len(),
+                fp.len()
+            ));
+        }
+        for (snap, (name, dims)) in self.params.iter().zip(fp) {
+            if &snap.name != name {
+                return Err(format!("snapshot {:?} where {name:?} belongs", snap.name));
+            }
+            if snap.value.dims() != dims.as_slice() {
+                return Err(format!(
+                    "value shape {:?} for {name:?} of shape {dims:?}",
+                    snap.value.dims()
+                ));
+            }
+            if let Some(mask) = &snap.mask {
+                if mask.dims() != dims.as_slice() {
+                    return Err(format!(
+                        "mask shape {:?} for {name:?} of shape {dims:?}",
+                        mask.dims()
+                    ));
+                }
+                if !mask.data().iter().all(|&m| m == 0.0 || m == 1.0) {
+                    return Err(format!("mask for {name:?} is not binary"));
+                }
+            }
+        }
         Ok(())
     }
 
@@ -248,6 +301,62 @@ mod tests {
             Checkpoint::load(Path::new("/nonexistent/sb.json")),
             Err(CheckpointError::Io(_))
         ));
+    }
+
+    /// Saves `cp` to a file, loads it back into a fresh network and
+    /// checks that a failed install left that network unchanged.
+    fn install_from_file(cp: &Checkpoint, name: &str) -> Result<(), CheckpointError> {
+        let path = tmp(name);
+        cp.save(&path).unwrap();
+        let mut net = models::mlp(4, &[8], 3, &mut Rng::seed_from(5));
+        let before = net.snapshot();
+        let result = load_network(&mut net, &path);
+        let _ = std::fs::remove_file(path);
+        if result.is_err() {
+            assert_eq!(
+                net.snapshot(),
+                before,
+                "a failed install changed the network"
+            );
+        }
+        result
+    }
+
+    fn masked_checkpoint() -> Checkpoint {
+        let mut net = models::mlp(4, &[8], 3, &mut Rng::seed_from(6));
+        net.visit_params(&mut |p| {
+            if p.kind().prunable_by_default() {
+                p.set_mask(Tensor::from_fn(p.value().dims(), |i| (i % 2) as f32));
+            }
+        });
+        Checkpoint::capture(&net)
+    }
+
+    #[test]
+    fn short_param_list_is_rejected() {
+        let mut cp = masked_checkpoint();
+        cp.params.pop();
+        let err = install_from_file(&cp, "short").unwrap_err();
+        assert!(matches!(err, CheckpointError::Malformed { .. }), "{err}");
+    }
+
+    #[test]
+    fn mask_of_another_shape_is_rejected() {
+        let mut cp = masked_checkpoint();
+        cp.params[0].mask = Some(Tensor::ones(&[2, 2]));
+        let err = install_from_file(&cp, "mask-shape").unwrap_err();
+        assert!(matches!(err, CheckpointError::Malformed { .. }), "{err}");
+        assert!(err.to_string().contains("mask shape"), "{err}");
+    }
+
+    #[test]
+    fn non_binary_mask_is_rejected() {
+        let mut cp = masked_checkpoint();
+        let mask = cp.params[0].mask.as_mut().expect("weights are masked");
+        mask.data_mut()[1] = 0.5;
+        let err = install_from_file(&cp, "mask-binary").unwrap_err();
+        assert!(matches!(err, CheckpointError::Malformed { .. }), "{err}");
+        assert!(err.to_string().contains("binary"), "{err}");
     }
 
     #[test]

@@ -62,6 +62,26 @@ impl Conv2d {
     pub fn output_dims(&self) -> (usize, usize, usize) {
         (self.out_channels, self.geom.out_h(), self.geom.out_w())
     }
+
+    /// Consumes the forward cache and accumulates dW and db; returns dy
+    /// as `[N·OH·OW, C_out]` rows, from which `backward` forms dx.
+    fn param_grads(&mut self, grad_output: &Tensor) -> Tensor {
+        let cols = self
+            .cached_cols
+            .take()
+            .expect("Conv2d::backward called without a training-mode forward");
+        let n = self.cached_batch;
+        let (c, oh, ow) = self.output_dims();
+        let mut dy = vec![0.0f32; grad_output.numel()];
+        nchw_to_rows(grad_output.data(), c, oh * ow, &mut dy);
+        let dy_rows = Tensor::from_vec(dy, &[n * oh * ow, c]).expect("shape computed above");
+        // dW = dyᵀ · cols → [C_out, patch]
+        let dw = dy_rows.transposed_matmul(&cols);
+        self.weight.grad_mut().add_scaled_in_place(&dw, 1.0);
+        let db = dy_rows.sum_axis0();
+        self.bias.grad_mut().add_scaled_in_place(&db, 1.0);
+        dy_rows
+    }
 }
 
 impl Layer for Conv2d {
@@ -84,23 +104,15 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let cols = self
-            .cached_cols
-            .take()
-            .expect("Conv2d::backward called without a training-mode forward");
         let n = self.cached_batch;
-        let (c, oh, ow) = self.output_dims();
-        let mut dy = vec![0.0f32; grad_output.numel()];
-        nchw_to_rows(grad_output.data(), c, oh * ow, &mut dy);
-        let dy_rows = Tensor::from_vec(dy, &[n * oh * ow, c]).expect("shape computed above");
-        // dW = dyᵀ · cols → [C_out, patch]
-        let dw = dy_rows.transposed_matmul(&cols);
-        self.weight.grad_mut().add_scaled_in_place(&dw, 1.0);
-        let db = dy_rows.sum_axis0();
-        self.bias.grad_mut().add_scaled_in_place(&db, 1.0);
+        let dy_rows = self.param_grads(grad_output);
         // dcols = dy · W → [N·OH·OW, patch]
         let dcols = dy_rows.matmul(self.weight.value());
         col2im(&dcols, n, &self.geom)
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        self.param_grads(grad_output);
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -216,6 +228,16 @@ mod tests {
         let mut rng = Rng::seed_from(0);
         let mut conv = Conv2d::new("c", 1, geom(1, 2, 1, 1, 0), &mut rng);
         conv.backward(&Tensor::zeros(&[1, 1, 2, 2]));
+    }
+
+    #[test]
+    #[should_panic(expected = "Conv2d::backward called without a training-mode forward")]
+    fn backward_params_consumes_the_cache() {
+        let mut rng = Rng::seed_from(0);
+        let mut conv = Conv2d::new("c", 1, geom(1, 2, 1, 1, 0), &mut rng);
+        conv.forward(&Tensor::ones(&[1, 1, 2, 2]), Mode::Train);
+        conv.backward_params(&Tensor::ones(&[1, 1, 2, 2]));
+        conv.backward_params(&Tensor::ones(&[1, 1, 2, 2]));
     }
 
     #[test]

@@ -86,6 +86,12 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+        self.backward_params(grad_output);
+        // dx = dy · W  → [N, in]
+        grad_output.matmul(self.weight.value())
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) {
         let input = self
             .cached_input
             .take()
@@ -96,8 +102,6 @@ impl Layer for Linear {
         // db = column sums of dy
         let db = grad_output.sum_axis0();
         self.bias.grad_mut().add_scaled_in_place(&db, 1.0);
-        // dx = dy · W  → [N, in]
-        grad_output.matmul(self.weight.value())
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -175,6 +179,16 @@ mod tests {
         let mut rng = Rng::seed_from(3);
         let mut fc = Linear::new("fc", 2, 2, &mut rng);
         fc.backward(&Tensor::zeros(&[1, 2]));
+    }
+
+    #[test]
+    #[should_panic(expected = "Linear::backward called without a training-mode forward")]
+    fn backward_params_consumes_the_cache() {
+        let mut rng = Rng::seed_from(3);
+        let mut fc = Linear::new("fc", 2, 2, &mut rng);
+        fc.forward(&Tensor::ones(&[1, 2]), Mode::Train);
+        fc.backward_params(&Tensor::ones(&[1, 2]));
+        fc.backward_params(&Tensor::ones(&[1, 2]));
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //!
 //! Every layer caches whatever it needs during `forward(Mode::Train)` so
 //! that a subsequent `backward` can compute input gradients and accumulate
-//! parameter gradients. Gradient correctness of every layer is verified
-//! against central finite differences in `tests/gradcheck.rs`.
+//! parameter gradients. A network's first layer runs `backward_params`
+//! instead, which skips the input gradient that nothing reads. Gradient
+//! correctness of every layer is verified against central finite
+//! differences in `tests/gradcheck.rs`.
 
 mod act;
 mod conv;
@@ -34,16 +36,27 @@ use sb_tensor::Tensor;
 ///
 /// 1. `forward(x, Mode::Train)` computes the output and caches activations;
 /// 2. `backward(dy)` consumes the cache, **accumulates** parameter
-///    gradients, and returns the gradient with respect to the input.
+///    gradients, and returns the gradient with respect to the input;
+///    `backward_params(dy)` does the same but returns nothing, for a layer
+///    whose input gradient nothing reads (the first layer of a network).
 ///
-/// Calling `backward` without a preceding training-mode `forward` on the
-/// same batch is a contract violation; layers panic with a clear message.
+/// Calling `backward` or `backward_params` without a preceding
+/// training-mode `forward` on the same batch is a contract violation;
+/// layers panic with a clear message.
 pub trait Layer: Send {
     /// Computes the layer output.
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor;
 
     /// Backpropagates; returns the gradient w.r.t. the layer input.
     fn backward(&mut self, grad_output: &Tensor) -> Tensor;
+
+    /// Backpropagates into the parameter gradients only, consuming the
+    /// cache as [`Layer::backward`] does and accumulating bit-identical
+    /// gradients. The default runs `backward` and drops the input
+    /// gradient; `Linear`, `Conv2d` and `Sequential` never compute it.
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        self.backward(grad_output);
+    }
 
     /// Visits this layer's parameters mutably (default: none).
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}

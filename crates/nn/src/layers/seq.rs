@@ -67,6 +67,20 @@ impl Layer for Sequential {
         g
     }
 
+    /// Backpropagates through every layer but the first as `backward`
+    /// does, then runs the first layer's `backward_params`: the chain's
+    /// input gradient is never formed.
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let mut g = grad_output.clone();
+        for layer in rest.iter_mut().rev() {
+            g = layer.backward(&g);
+        }
+        first.backward_params(&g);
+    }
+
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         for layer in &mut self.layers {
             layer.visit_params(f);

@@ -72,7 +72,7 @@ impl Network for Model {
     }
 
     fn backward(&mut self, grad_logits: &Tensor) {
-        self.body.backward(grad_logits);
+        self.body.backward_params(grad_logits);
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -467,6 +467,71 @@ mod tests {
         dedup.sort();
         dedup.dedup();
         assert_eq!(dedup.len(), names.len(), "duplicate parameter names");
+    }
+
+    /// Every parameter gradient's bits, in visit order.
+    fn grad_bits(m: &Model) -> Vec<(String, Vec<u32>)> {
+        let mut out = Vec::new();
+        m.visit_params_ref(&mut |p| {
+            out.push((
+                p.name().to_string(),
+                p.grad().data().iter().map(|v| v.to_bits()).collect(),
+            ));
+        });
+        out
+    }
+
+    /// `Network::backward`, which skips the first layer's input gradient,
+    /// leaves every parameter gradient bit-identical to the full
+    /// `Sequential::backward` chain on a twin built from the same seed.
+    fn first_layer_skip_keeps_grads(build: impl Fn(&mut Rng) -> Model, input_dims: &[usize]) {
+        let mut rng = Rng::seed_from(41);
+        let x = Tensor::rand_normal(input_dims, 0.0, 1.0, &mut rng);
+        let mut skip = build(&mut Rng::seed_from(7));
+        let mut full = build(&mut Rng::seed_from(7));
+        let y = skip.forward(&x, Mode::Train);
+        assert_eq!(full.forward(&x, Mode::Train), y);
+        let dy = Tensor::rand_normal(y.dims(), 0.0, 1.0, &mut rng);
+        skip.backward(&dy);
+        let dx = full.body.backward(&dy);
+        assert_eq!(dx.dims(), x.dims());
+        let (a, b) = (grad_bits(&skip), grad_bits(&full));
+        assert!(a.iter().any(|(_, g)| g.iter().any(|&v| v != 0)));
+        for ((name, ga), (_, gb)) in a.iter().zip(&b) {
+            assert!(ga == gb, "gradient of {name} differs");
+        }
+        assert_eq!(a.len(), b.len());
+    }
+
+    #[test]
+    fn first_layer_skip_keeps_lenet300_grads() {
+        first_layer_skip_keeps_grads(|rng| lenet_300_100(64, 10, rng), &[5, 64]);
+    }
+
+    #[test]
+    fn first_layer_skip_keeps_lenet5_grads() {
+        first_layer_skip_keeps_grads(|rng| lenet5(1, 16, 10, rng), &[5, 1, 16, 16]);
+    }
+
+    #[test]
+    fn first_layer_skip_keeps_resnet8_grads() {
+        first_layer_skip_keeps_grads(|rng| resnet_cifar(8, 3, 16, 10, 4, rng), &[5, 3, 16, 16]);
+    }
+
+    #[test]
+    fn default_backward_params_keeps_grads() {
+        // A first layer without an override runs `backward` and drops dx.
+        first_layer_skip_keeps_grads(
+            |rng| {
+                let body = Sequential::new()
+                    .push(ReLU::new())
+                    .push(Linear::new("fc1", 12, 8, rng))
+                    .push(ReLU::new())
+                    .push(Linear::new("fc2", 8, 4, rng));
+                Model::from_sequential("relu-first", body, 4)
+            },
+            &[5, 12],
+        );
     }
 
     #[test]

@@ -81,6 +81,12 @@ pub struct TrainReport {
     pub best_val_top1: f32,
     /// Whether early stopping triggered before `epochs` completed.
     pub stopped_early: bool,
+    /// Validation metrics of the weights the network holds when training
+    /// returns: the restored best snapshot's under `restore_best`, else
+    /// the last epoch's. Each is the evaluation already run for that
+    /// snapshot or epoch, not a new one. `None` when no validation
+    /// batches were supplied.
+    pub final_metrics: Option<EvalMetrics>,
 }
 
 json_struct!(TrainReport {
@@ -88,6 +94,7 @@ json_struct!(TrainReport {
     val_top1,
     best_val_top1,
     stopped_early,
+    final_metrics,
 });
 
 /// Orchestrates epoch loops: forward, loss, backward, optimizer step,
@@ -143,7 +150,8 @@ impl Trainer {
     /// `make_epoch` is called once per epoch with the epoch index and must
     /// return that epoch's training batches (allowing per-epoch
     /// reshuffling); `val_batches` (if non-empty) drives validation
-    /// metrics and early stopping.
+    /// metrics and early stopping, and the report carries the metrics of
+    /// the weights returned ([`TrainReport::final_metrics`]).
     ///
     /// # Errors
     ///
@@ -153,8 +161,28 @@ impl Trainer {
         &self,
         network: &mut dyn Network,
         optimizer: &mut dyn Optimizer,
+        make_epoch: impl FnMut(usize) -> Vec<Batch>,
+        val_batches: &[Batch],
+    ) -> Result<TrainReport, TrainDiverged> {
+        self.fit_from(network, optimizer, make_epoch, val_batches, None)
+    }
+
+    /// [`Trainer::fit`] for a caller that already holds `start`, the
+    /// result of `evaluate(network, val_batches)` on the weights passed
+    /// in. Training uses it in place of evaluating the starting weights
+    /// again; with `start = None` this is exactly `fit`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TrainDiverged`] if the network produces non-finite
+    /// logits at any step.
+    pub fn fit_from(
+        &self,
+        network: &mut dyn Network,
+        optimizer: &mut dyn Optimizer,
         mut make_epoch: impl FnMut(usize) -> Vec<Batch>,
         val_batches: &[Batch],
+        start: Option<EvalMetrics>,
     ) -> Result<TrainReport, TrainDiverged> {
         let base_lr = optimizer.learning_rate();
         let mut report = TrainReport {
@@ -162,17 +190,21 @@ impl Trainer {
             val_top1: Vec::new(),
             best_val_top1: f32::NEG_INFINITY,
             stopped_early: false,
+            final_metrics: None,
         };
-        let mut best_snapshot: Option<Vec<ParamSnapshot>> = None;
+        let validate = !val_batches.is_empty();
+        // Metrics of the weights the network holds now, when known.
+        let mut current = if validate { start } else { None };
+        let mut best_snapshot: Option<(Vec<ParamSnapshot>, EvalMetrics)> = None;
         let mut epochs_since_best = 0usize;
 
         // The starting state is itself a candidate: with restore_best,
         // training can never return a network worse (on validation) than
         // the one it was given.
-        if self.config.restore_best && !val_batches.is_empty() {
-            let initial = evaluate(network, val_batches);
+        if self.config.restore_best && validate {
+            let initial = *current.get_or_insert_with(|| evaluate(network, val_batches));
             report.best_val_top1 = initial.top1;
-            best_snapshot = Some(network.snapshot());
+            best_snapshot = Some((network.snapshot(), initial));
         }
 
         for epoch in 0..self.config.epochs {
@@ -192,14 +224,15 @@ impl Trainer {
                 .epoch_losses
                 .push(if batch_count > 0 { loss_sum / batch_count as f32 } else { 0.0 });
 
-            if !val_batches.is_empty() {
+            if validate {
                 let metrics = evaluate(network, val_batches);
+                current = Some(metrics);
                 report.val_top1.push(metrics.top1);
                 if metrics.top1 > report.best_val_top1 {
                     report.best_val_top1 = metrics.top1;
                     epochs_since_best = 0;
                     if self.config.restore_best {
-                        best_snapshot = Some(network.snapshot());
+                        best_snapshot = Some((network.snapshot(), metrics));
                     }
                 } else {
                     epochs_since_best += 1;
@@ -213,8 +246,16 @@ impl Trainer {
             }
         }
         optimizer.set_learning_rate(base_lr);
-        if let Some(snap) = best_snapshot {
+        if let Some((snap, metrics)) = best_snapshot {
+            // `evaluate` is a pure function of the restored state (values,
+            // masks, batch-norm running statistics), so the snapshot's
+            // metrics are the restored network's.
             network.restore(&snap);
+            current = Some(metrics);
+        }
+        if validate {
+            // Known unless no epoch ran and nothing evaluated the start.
+            report.final_metrics = Some(current.unwrap_or_else(|| evaluate(network, val_batches)));
         }
         if report.best_val_top1 == f32::NEG_INFINITY {
             report.best_val_top1 = f32::NAN;
@@ -393,6 +434,51 @@ mod tests {
         // Network must now evaluate at exactly the reported best accuracy.
         let metrics = evaluate(&mut net, &val);
         assert!((metrics.top1 - report.best_val_top1).abs() < 1e-6);
+    }
+
+    #[test]
+    fn final_metrics_are_those_of_the_returned_weights() {
+        let val = blob_batches(2, 12);
+        for restore_best in [false, true] {
+            let trainer = Trainer::new(TrainConfig {
+                epochs: 4,
+                restore_best,
+                ..TrainConfig::default()
+            });
+            let mut net = mlp(4, &[8], 2, &mut Rng::seed_from(8));
+            let mut twin = mlp(4, &[8], 2, &mut Rng::seed_from(8));
+            let start = evaluate(&mut twin, &val);
+            let fit = trainer
+                .fit(
+                    &mut net,
+                    &mut Sgd::new(0.5),
+                    |e| blob_batches(3, e as u64),
+                    &val,
+                )
+                .unwrap();
+            let from = trainer
+                .fit_from(
+                    &mut twin,
+                    &mut Sgd::new(0.5),
+                    |e| blob_batches(3, e as u64),
+                    &val,
+                    Some(start),
+                )
+                .unwrap();
+            assert_eq!(fit.final_metrics, Some(evaluate(&mut net, &val)));
+            assert_eq!(from.final_metrics, fit.final_metrics);
+            assert_eq!(from.val_top1, fit.val_top1);
+            assert_eq!(twin.snapshot(), net.snapshot());
+        }
+        let no_val = Trainer::new(TrainConfig::default())
+            .fit(
+                &mut mlp(4, &[4], 2, &mut Rng::seed_from(9)),
+                &mut Sgd::new(0.1),
+                |_| blob_batches(1, 5),
+                &[],
+            )
+            .unwrap();
+        assert_eq!(no_val.final_metrics, None);
     }
 
     #[test]

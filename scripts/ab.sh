@@ -13,7 +13,9 @@
 # counts as a gain when it holds in every layout.
 #
 # For every build the script prints the offsets modulo 64 of the hot
-# symbols. Within each layout it then runs PAIRS (default 2) alternating
+# symbols: the inference kernels, the training kernels that `grid` runs
+# (`Tensor::matmul`, `Tensor::transposed_matmul`, `col2im`) and the
+# reference mix. Within each layout it then runs PAIRS (default 2) alternating
 # pairs of `benchmark --workload WORKLOAD --seconds SECONDS` (default 20),
 # the first run of a pair alternating between the sides, and prints both
 # medians of METRIC (default p50_ms) and CHANGE's ratio to BASE, with
@@ -56,6 +58,9 @@ symbols=(
     "exec-matmul_rows|sb_infer::exec::matmul_rows$"
     "tile|sb_tensor::linalg::PackedRhs::matmul_rows$"
     "im2col_into|sb_tensor::conv::im2col_into$"
+    "matmul|sb_tensor::linalg::<impl sb_tensor::tensor::Tensor>::matmul$"
+    "transposed_matmul|sb_tensor::linalg::<impl sb_tensor::tensor::Tensor>::transposed_matmul$"
+    "col2im|sb_tensor::conv::col2im$"
     "bsr|sb_infer::formats::BsrMatrix::matmul_rows$"
     "bitmap|sb_infer::formats::BitmapMatrix::matmul_rows$"
     "mix|benchmark::calib::Mix::run_ms$"
