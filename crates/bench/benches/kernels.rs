@@ -1,7 +1,7 @@
 //! Microbenchmarks for the numerical substrate: the kernels whose cost
 //! dominates every experiment in the reproduction.
 
-use sb_bench::timer::{BatchSize, Timer};
+use sb_bench::timer::{BatchSize, Measurement, Timer};
 use sb_nn::{models, Layer, Mode, Network};
 use sb_tensor::{col2im, im2col, im2col_into, Conv2dGeometry, PackedRhs, Rng, Tensor};
 
@@ -56,14 +56,17 @@ fn bench_layer_shapes(c: &mut Timer) {
     }
     group.finish();
     let timed = &c.results()[c.results().len() - GRID_FORWARD.len()..];
-    eprintln!("\n{GROUP}: ns per multiply-add");
+    eprintln!("\n{GROUP}: ns per multiply-add, min and median");
     for (&(name, m, k, n), t) in GRID_FORWARD.iter().zip(timed) {
         let shape = format!("[{m},{k}]·[{n},{k}]ᵀ");
-        let ns_per_mac = t.ns_per_iter / (m * k * n) as f64;
-        eprintln!("  {name:<24} {shape:<22} {ns_per_mac:>6.3}");
+        eprintln!("  {name:<24} {shape:<22} {}", per_unit(t, (m * k * n) as f64));
     }
-    let total_ms = timed.iter().map(|t| t.ns_per_iter).sum::<f64>() / 1e6;
-    eprintln!("  sum of one pass over every shape: {total_ms:.2} ms");
+    let total_ms = |ns: fn(&Measurement) -> f64| timed.iter().map(ns).sum::<f64>() / 1e6;
+    eprintln!(
+        "  sum of one pass over every shape: {:.2} ms (min), {:.2} ms (median)",
+        total_ms(Measurement::min_ns),
+        total_ms(Measurement::median_ns)
+    );
 }
 
 /// sb-infer's dense products for one 8-sample batch block (the default
@@ -106,17 +109,17 @@ fn bench_infer_dense_block(c: &mut Timer) {
     }
     group.finish();
     let timed = &c.results()[c.results().len() - 2 * INFER_DENSE_BLOCK.len()..];
-    eprintln!("\n{GROUP}: ns per multiply-add");
+    eprintln!("\n{GROUP}: ns per multiply-add, min and median");
     let header = ("layer", "[m,k]·[n,k]ᵀ", "packed once", "matmul_transposed");
     eprintln!(
-        "  {:<22} {:<22} {:>11} {:>17}",
+        "  {:<22} {:<22} {:>13} {:>17}",
         header.0, header.1, header.2, header.3
     );
     for (&(name, m, k, n), t) in INFER_DENSE_BLOCK.iter().zip(timed.chunks_exact(2)) {
         let shape = format!("[{m},{k}]·[{n},{k}]ᵀ");
         let macs = (m * k * n) as f64;
-        let (once, per_call) = (t[0].ns_per_iter / macs, t[1].ns_per_iter / macs);
-        eprintln!("  {name:<22} {shape:<22} {once:>11.3} {per_call:>17.3}");
+        let (once, per_call) = (per_unit(&t[0], macs), per_unit(&t[1], macs));
+        eprintln!("  {name:<22} {shape:<22} {once:>13} {per_call:>17}");
     }
 }
 
@@ -180,16 +183,21 @@ fn bench_conv_lowering(c: &mut Timer) {
     group.finish();
     let timed = &c.results()[c.results().len() - block.len() - 2 * grid.len()..];
     let (unfolds, folds) = timed.split_at(block.len());
-    eprintln!("\n{GROUP}: ns per patch element");
+    eprintln!("\n{GROUP}: ns per patch element, min and median");
     for (&(name, n, geom), t) in block.iter().zip(unfolds) {
-        let ns = t.ns_per_iter / patch_elements(n, &geom) as f64;
-        eprintln!("  {name:<24} b{n:<3} im2col_into {ns:>6.3}");
+        let ns = per_unit(t, patch_elements(n, &geom) as f64);
+        eprintln!("  {name:<24} b{n:<3} im2col_into {ns}");
     }
     for (&(name, n, geom), t) in grid.iter().zip(folds.chunks_exact(2)) {
         let elements = patch_elements(n, &geom) as f64;
-        let (unfold, fold) = (t[0].ns_per_iter / elements, t[1].ns_per_iter / elements);
-        eprintln!("  {name:<24} b{n:<3} im2col {unfold:>6.3}  col2im {fold:>6.3}");
+        let (unfold, fold) = (per_unit(&t[0], elements), per_unit(&t[1], elements));
+        eprintln!("  {name:<24} b{n:<3} im2col {unfold}  col2im {fold}");
     }
+}
+
+/// `t`'s minimum and median per `units` (multiply-adds, elements).
+fn per_unit(t: &Measurement, units: f64) -> String {
+    format!("{:>6.3} {:>6.3}", t.min_ns() / units, t.median_ns() / units)
 }
 
 /// The values in the patch matrix of `n` samples of `geom`.

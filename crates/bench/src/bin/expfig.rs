@@ -45,7 +45,6 @@ const ARTIFACTS: &[(&str, &str)] = &[
     ("prune-at-init", "Extension: pruning at initialization (SNIP-style, Section 2.2)"),
     ("metrics-ambiguity", "Section 5.2: one model under every metric convention"),
     ("hygiene", "Sections 4.3-6: reporting hygiene of the 37 reporting papers"),
-    ("realized-speedup", "Section 2.1: realized (CSR wall-clock) vs theoretical speedup"),
     ("inference-speedup", "Section 2.1/Fig 6: theoretical vs realized speedup of compiled models"),
     ("latency-attribution", "Trace: realized inference latency by layer x kernel format"),
     ("format-crossover", "Tentpole: realized wall-clock of dense/CSR/BSR/bitmap kernels across sparsity ratios"),
@@ -293,7 +292,6 @@ fn render(id: &str, scale: Scale, paths: &OutputPaths) -> std::io::Result<String
         ),
         "metrics-ambiguity" => metrics_ambiguity(paths),
         "hygiene" => hygiene(paths),
-        "realized-speedup" => sb_bench::figures::realized_speedup(paths),
         "inference-speedup" => sb_bench::figures::inference_speedup(scale, paths),
         "latency-attribution" => sb_bench::figures::latency_attribution(paths),
         "format-crossover" => sb_bench::figures::format_crossover(paths),

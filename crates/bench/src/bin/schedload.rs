@@ -45,8 +45,6 @@ use sb_serve::{
 };
 use std::sync::Arc;
 
-const MACS_PER_US: u64 = 2_000;
-const BASE_US: u64 = 200;
 const ECHO_FEATURES: usize = 4;
 const LENET_FEATURES: usize = 256;
 
@@ -106,11 +104,14 @@ fn parse() -> Opts {
         }
         i += 1;
     }
+    if !(1..=u64::MAX / 1_000).contains(&o.horizon_ms) {
+        usage();
+    }
     o
 }
 
-/// A LeNet-300-100 engine at the given compression, priced by effective
-/// MACs (the sb-infer cost model) through the fixed machine constant.
+/// A LeNet-300-100 engine at the given compression, priced by its
+/// effective MACs through [`sb_bench::mac_price`].
 fn lenet_engine(ratio: f64, format: Option<sb_infer::ExecFormat>) -> InferEngine {
     use shrinkbench::{GlobalMagnitude, Pruner};
     let mut rng = sb_tensor::Rng::seed_from(0xBE7C);
@@ -127,14 +128,8 @@ fn lenet_engine(ratio: f64, format: Option<sb_infer::ExecFormat>) -> InferEngine
             ..sb_infer::CompileOptions::default()
         },
     );
-    let per_sample_us = (compiled.effective_macs() / MACS_PER_US).max(1);
-    InferEngine::new(
-        compiled,
-        ServiceModel {
-            base_us: BASE_US,
-            per_sample_us,
-        },
-    )
+    let service = sb_bench::mac_price(&compiled);
+    InferEngine::new(compiled, service)
 }
 
 /// The `--faults` outage schedule: a burst over per-tenant primary

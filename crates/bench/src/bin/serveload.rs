@@ -127,14 +127,28 @@ fn parse() -> Opts {
         }
         i += 1;
     }
+    // Out-of-range values exit here with the usage line, not on one of
+    // the library's asserts (or, for `--rps inf`, never).
+    let rate = |r: f64| r.is_finite() && r > 0.0;
+    let in_range = rate(o.rps)
+        && o.burst.is_none_or(|b| b > 0)
+        && o.ramp.is_none_or(rate)
+        && (1..=u64::MAX / 1_000).contains(&o.horizon_ms)
+        && o.cfg.max_batch > 0
+        && o.cfg.queue_cap > 0
+        && o.cfg.max_inflight > 0
+        && o.closed.is_none_or(|c| c > 0)
+        && o.requests > 0;
+    if !in_range {
+        usage();
+    }
     o
 }
 
 const ECHO_FEATURES: usize = 4;
 
 /// The lenet engine at a given compression: global-magnitude
-/// LeNet-300-100, auto-compiled, priced by effective MACs (2000 MACs
-/// per virtual µs, 200µs dispatch).
+/// LeNet-300-100, auto-compiled, priced by [`sb_bench::mac_price`].
 fn lenet_engine(ratio: f64) -> (InferEngine, usize) {
     use shrinkbench::{GlobalMagnitude, Pruner};
     let mut rng = sb_tensor::Rng::seed_from(0xBE7C);
@@ -143,11 +157,7 @@ fn lenet_engine(ratio: f64) -> (InferEngine, usize) {
         .prune(&mut net, &GlobalMagnitude, ratio, &mut rng)
         .expect("pruning a fresh network succeeds");
     let compiled = sb_infer::CompiledModel::compile(&net, &sb_infer::CompileOptions::default());
-    let per_sample_us = (compiled.effective_macs() / 2_000).max(1);
-    let service = ServiceModel {
-        base_us: 200,
-        per_sample_us,
-    };
+    let service = sb_bench::mac_price(&compiled);
     (InferEngine::new(compiled, service), 256)
 }
 

@@ -648,67 +648,6 @@ pub fn hygiene(paths: &OutputPaths) -> io::Result<String> {
     Ok(out)
 }
 
-/// Realized vs theoretical speedup: run the actual CSR kernel against the
-/// dense matmul at several densities and compare wall-clock speedup with
-/// the paper's theoretical (multiply-add-ratio) metric. Timings are
-/// indicative (single-shot medians), not Criterion-grade; use
-/// `cargo bench --bench realized` for careful numbers.
-pub fn realized_speedup(paths: &OutputPaths) -> io::Result<String> {
-    use sb_tensor::{Rng, SparseMatrix, Tensor};
-    use std::time::Instant;
-
-    let (m, k, n) = (256usize, 256usize, 32usize);
-    let mut rng = Rng::seed_from(0);
-    let x = Tensor::rand_normal(&[k, n], 0.0, 1.0, &mut rng);
-    let random_sparse = |density: f64, seed: u64| {
-        let mut rng = Rng::seed_from(seed);
-        Tensor::from_fn(&[m, k], |_| if rng.coin(density) { rng.normal() } else { 0.0 })
-    };
-    let median_time = |f: &mut dyn FnMut()| -> f64 {
-        let mut samples = Vec::new();
-        for _ in 0..9 {
-            let t = Instant::now();
-            f();
-            samples.push(t.elapsed().as_secs_f64());
-        }
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        samples[samples.len() / 2]
-    };
-
-    let dense_w = random_sparse(1.0, 1);
-    let dense_t = median_time(&mut || {
-        std::hint::black_box(dense_w.matmul(&x));
-    });
-
-    let mut out = String::from(
-        "Realized vs theoretical speedup (Section 2.1): the actual CSR sparse kernel against the dense matmul, 256x256 weight x batch 32.\n\n",
-    );
-    let mut table = Table::new(vec![
-        "density", "theoretical speedup", "realized speedup", "realized / theoretical",
-    ]);
-    for density in [0.5, 0.25, 0.125, 0.03125] {
-        let w = random_sparse(density, 2);
-        let sparse = SparseMatrix::from_dense(&w);
-        let sparse_t = median_time(&mut || {
-            std::hint::black_box(sparse.matmul_dense(&x));
-        });
-        let theoretical = 1.0 / sparse.density().max(1e-9);
-        let realized = dense_t / sparse_t.max(1e-12);
-        table.row(vec![
-            format!("{:.4}", sparse.density()),
-            format!("{theoretical:.2}x"),
-            format!("{realized:.2}x"),
-            format!("{:.2}", realized / theoretical),
-        ]);
-    }
-    out.push_str(&table.to_markdown());
-    out.push_str(
-        "\nReading: the CSR kernel recovers only part of the theoretical speedup (irregular access, index overhead) — why the paper treats multiply-add ratios as a proxy, and why structured pruning exists.\n",
-    );
-    save(paths, "realized-speedup", &out, Some(&table))?;
-    Ok(out)
-}
-
 /// Theoretical vs realized speedup for whole compiled models (the
 /// Figure 6 metric, made honest): runs the `realized-inference` grid
 /// with wall-clock measurement enabled, then charts the paper's
@@ -901,8 +840,9 @@ pub fn latency_attribution(paths: &OutputPaths) -> io::Result<String> {
 /// attributes self-time to the conv2 layer so the per-layer crossover
 /// (where BSR's 4-wide lanes or the bitmap's branch-free loop beat CSR's
 /// index chasing) is visible next to the aggregate. Timings are
-/// indicative and machine-dependent; `cargo bench --bench realized`
-/// holds the careful numbers.
+/// indicative and machine-dependent; the benchmark's `infer` workload
+/// times its models over many runs, and `crates/infer/tests/speed.rs`
+/// asserts the floors.
 pub fn format_crossover(paths: &OutputPaths) -> io::Result<String> {
     use sb_metrics::RealizedSweep;
     use sb_tensor::{Rng, Tensor};
@@ -1320,28 +1260,22 @@ pub fn sparsity_profile(paths: &OutputPaths) -> io::Result<String> {
 
 /// Serving under load: pruned vs dense LeNet-300-100 behind the
 /// `sb-serve` micro-batcher, swept across offered loads on a virtual
-/// clock. Each ratio's model is auto-compiled (dense at 1x, CSR once
-/// pruning makes it worthwhile) and priced by its **effective MACs**
-/// through a fixed machine constant, so the whole sweep — batch
-/// timeouts, queueing, deadline shedding, the reported percentiles — is
-/// deterministic and thread-count-independent; the real forward still
-/// runs for every batch, it just doesn't set the virtual clock.
-/// `cargo bench --bench serve` holds the wall-clock counterpart
-/// (`BENCH_serve.json`).
+/// clock. Each ratio's model is auto-compiled (the cost model picks each
+/// layer's format) and priced by its **effective MACs** through
+/// [`crate::mac_price`], so the whole sweep — batch timeouts, queueing,
+/// deadline shedding, the reported percentiles — is deterministic and
+/// thread-count-independent; the real forward still runs for every
+/// batch, it just doesn't set the virtual clock. The benchmark's `serve`
+/// and `sched` workloads measure serving in wall-clock time.
 pub fn serving_latency(paths: &OutputPaths) -> io::Result<String> {
     use sb_serve::{
         profile, run_open_loop_sim, ArrivalProcess, InferEngine, LoadSpec, ServeConfig, Server,
-        ServiceModel, SimClock,
+        SimClock,
     };
     use sb_tensor::{Rng, Tensor};
     use shrinkbench::{GlobalMagnitude, Pruner};
     use std::sync::Arc;
 
-    // Fixed virtual machine constant: how many effective MACs one
-    // virtual microsecond buys. Only ratios between configurations
-    // matter; the constant keeps the numbers in a realistic range.
-    const MACS_PER_US: u64 = 2_000;
-    const BASE_US: u64 = 200; // per-batch dispatch cost
     let ratios = [1.0f64, 4.0, 16.0];
     let loads_rps = [2_000.0f64, 8_000.0, 14_000.0, 20_000.0];
     let horizon_us = 500_000u64; // half a virtual second per point
@@ -1377,12 +1311,10 @@ pub fn serving_latency(paths: &OutputPaths) -> io::Result<String> {
                 .prune(&mut net, &GlobalMagnitude, ratio, &mut prune_rng)
                 .expect("pruning a fresh network succeeds");
         }
-        let compiled = sb_infer::CompiledModel::compile(&net, &sb_infer::CompileOptions::default());
-        let per_sample_us = (compiled.effective_macs() / MACS_PER_US).max(1);
-        let service = ServiceModel {
-            base_us: BASE_US,
-            per_sample_us,
-        };
+        let service = crate::mac_price(&sb_infer::CompiledModel::compile(
+            &net,
+            &sb_infer::CompileOptions::default(),
+        ));
         // One pool of request samples, recycled across the sweep.
         let mut input_rng = Rng::seed_from(2);
         let samples: Vec<Vec<f32>> = (0..64)
@@ -1427,7 +1359,7 @@ pub fn serving_latency(paths: &OutputPaths) -> io::Result<String> {
             points.push((rps, p.p99_us as f64));
         }
         p99_series.push(ChartSeries::new(
-            format!("{ratio}x ({per_sample_us}us/sample)"),
+            format!("{ratio}x ({}us/sample)", service.per_sample_us),
             points,
         ));
     }
@@ -1465,14 +1397,12 @@ pub fn fault_recovery(paths: &OutputPaths) -> io::Result<String> {
     use sb_serve::{
         run_open_loop_sim, ArrivalProcess, BackoffPolicy, BatchEngine, BreakerConfig, FaultPlan,
         FaultSpec, InferEngine, LoadSpec, Outcome, RejectReason, RetryPolicy, ServeConfig, Server,
-        ServedBy, ServiceModel, SimClock,
+        ServedBy, SimClock,
     };
     use sb_tensor::{Rng, Tensor};
     use shrinkbench::{GlobalMagnitude, Pruner};
     use std::sync::Arc;
 
-    const MACS_PER_US: u64 = 2_000;
-    const BASE_US: u64 = 200;
     const FEATURES: usize = 256;
     const HORIZON_US: u64 = 600_000;
     const BUCKET_US: u64 = 50_000;
@@ -1494,14 +1424,8 @@ pub fn fault_recovery(paths: &OutputPaths) -> io::Result<String> {
                 ..sb_infer::CompileOptions::default()
             },
         );
-        let per_sample_us = (compiled.effective_macs() / MACS_PER_US).max(1);
-        InferEngine::new(
-            compiled,
-            ServiceModel {
-                base_us: BASE_US,
-                per_sample_us,
-            },
-        )
+        let service = crate::mac_price(&compiled);
+        InferEngine::new(compiled, service)
     };
     let primary = lenet(1.0, Some(sb_infer::ExecFormat::Dense));
     let fallback = lenet(16.0, None);
@@ -1681,19 +1605,17 @@ pub fn fault_recovery(paths: &OutputPaths) -> io::Result<String> {
 /// interactive loads are deliberately deadline-free — a deadline-carrying
 /// queue head is served EDF-first *ahead of* WFQ order within its class,
 /// which would override the 3:1 share this figure demonstrates (the
-/// deadline/EDF/quota story is the sched bench's `quota_demo`).
+/// deadline/EDF/quota story is `crates/bench/tests/sched_demos.rs`).
 pub fn multi_model_fairness(paths: &OutputPaths) -> io::Result<String> {
     use sb_sched::{
         profile, run_multi_open_loop_sim, MultiServer, Priority, SchedConfig, TenantLoad,
         TenantPolicy, TenantSpec,
     };
-    use sb_serve::{ArrivalProcess, InferEngine, ServiceModel, SimClock};
+    use sb_serve::{ArrivalProcess, InferEngine, SimClock};
     use sb_tensor::Rng;
     use shrinkbench::{GlobalMagnitude, Pruner};
     use std::sync::Arc;
 
-    const MACS_PER_US: u64 = 2_000;
-    const BASE_US: u64 = 200;
     const FEATURES: usize = 256;
     const MAX_BATCH: usize = 16;
     const MAX_INFLIGHT: usize = 2;
@@ -1717,14 +1639,8 @@ pub fn multi_model_fairness(paths: &OutputPaths) -> io::Result<String> {
                 ..sb_infer::CompileOptions::default()
             },
         );
-        let per_sample_us = (compiled.effective_macs() / MACS_PER_US).max(1);
-        InferEngine::new(
-            compiled,
-            ServiceModel {
-                base_us: BASE_US,
-                per_sample_us,
-            },
-        )
+        let service = crate::mac_price(&compiled);
+        InferEngine::new(compiled, service)
     };
     let policy = TenantPolicy {
         max_batch: MAX_BATCH,

@@ -27,6 +27,19 @@ pub mod tracediff;
 
 pub use configs::{experiment_config, Scale};
 
+/// The virtual-clock price of a batch through `compiled`: 2,000
+/// effective multiply-adds per virtual µs (at least 1 µs per sample),
+/// plus 200 µs per batch. Every serving figure and load driver prices
+/// its compiled engines here. Effective MACs are the theoretical-speedup
+/// proxy of §2.1, not a measured time: only ratios between
+/// configurations mean anything.
+pub fn mac_price(compiled: &sb_infer::CompiledModel) -> sb_serve::ServiceModel {
+    sb_serve::ServiceModel {
+        base_us: 200,
+        per_sample_us: (compiled.effective_macs() / 2_000).max(1),
+    }
+}
+
 /// Install a panic hook that drops the default stderr report for
 /// `sb-fault`-injected engine panics (they unwind through the worker
 /// pool's `catch_unwind` by design — one backtrace per faulted batch is

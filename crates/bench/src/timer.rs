@@ -7,14 +7,14 @@
 //! per iteration. Each bench target keeps `harness = false` and drives a
 //! [`Timer`] from its own `main`.
 //!
-//! Methodology: a short warm-up, then timing batches whose sizes grow
-//! until the measurement budget is spent. The estimate reported is the
-//! *minimum* mean-per-iteration across batches — the standard trick for
-//! rejecting scheduler noise, which only ever adds time. Budgets are
+//! Methodology: a short warm-up, then timing batches until the
+//! measurement budget is spent. Every batch's mean per iteration is kept
+//! as one sample; the report gives the *minimum* (scheduler noise only
+//! ever adds time) beside the median and the 10th and 90th percentiles,
+//! so a reader sees how far one run's samples spread. Budgets are
 //! tunable via `SB_BENCH_WARMUP_MS` and `SB_BENCH_BUDGET_MS` so CI can
 //! run the benches as smoke tests in milliseconds.
 
-use sb_json::json_struct;
 use std::time::{Duration, Instant};
 
 /// Mirror of Criterion's batch-size hint. The harness sizes batches by
@@ -42,26 +42,55 @@ fn env_ms(name: &str, default_ms: u64) -> Duration {
 pub struct Measurement {
     /// Full benchmark id, `group/name` for grouped benchmarks.
     pub id: String,
-    /// Best (minimum across batches) mean nanoseconds per iteration.
-    pub ns_per_iter: f64,
+    /// Mean nanoseconds per iteration of every timing batch, ascending
+    /// and never empty.
+    samples_ns: Vec<f64>,
     /// Total iterations timed.
     pub iterations: u64,
 }
 
-json_struct!(Measurement { id, ns_per_iter, iterations });
-
 impl Measurement {
-    fn human_time(&self) -> String {
-        let ns = self.ns_per_iter;
-        if ns < 1_000.0 {
-            format!("{ns:.1} ns")
-        } else if ns < 1_000_000.0 {
-            format!("{:.2} µs", ns / 1_000.0)
-        } else if ns < 1_000_000_000.0 {
-            format!("{:.2} ms", ns / 1_000_000.0)
-        } else {
-            format!("{:.3} s", ns / 1_000_000_000.0)
-        }
+    /// The best (minimum) sample, ns per iteration.
+    pub fn min_ns(&self) -> f64 {
+        self.samples_ns[0]
+    }
+
+    /// The `q`-quantile of the samples (`0 ≤ q ≤ 1`), interpolated
+    /// linearly between the two nearest ranks.
+    pub fn quantile_ns(&self, q: f64) -> f64 {
+        let pos = q.clamp(0.0, 1.0) * (self.samples_ns.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        let (a, b) = (self.samples_ns[lo], self.samples_ns[hi]);
+        a + (b - a) * (pos - lo as f64)
+    }
+
+    /// The median sample, ns per iteration.
+    pub fn median_ns(&self) -> f64 {
+        self.quantile_ns(0.5)
+    }
+
+    /// `min  median [p10, p90]`, each in a readable unit.
+    fn spread(&self) -> String {
+        format!(
+            "{:>10}  median {:>10} [{}, {}]",
+            human_time(self.min_ns()),
+            human_time(self.median_ns()),
+            human_time(self.quantile_ns(0.1)),
+            human_time(self.quantile_ns(0.9))
+        )
+    }
+}
+
+/// `ns` in the largest unit that keeps it at or above 1.
+fn human_time(ns: f64) -> String {
+    if ns < 1_000.0 {
+        format!("{ns:.1} ns")
+    } else if ns < 1_000_000.0 {
+        format!("{:.2} µs", ns / 1_000.0)
+    } else if ns < 1_000_000_000.0 {
+        format!("{:.2} ms", ns / 1_000_000.0)
+    } else {
+        format!("{:.3} s", ns / 1_000_000_000.0)
     }
 }
 
@@ -97,16 +126,25 @@ impl Timer {
         let mut bencher = Bencher {
             warmup: self.warmup,
             budget: self.budget,
-            best_ns: f64::INFINITY,
+            samples_ns: Vec::new(),
             iterations: 0,
         };
         f(&mut bencher);
+        let mut samples_ns = bencher.samples_ns;
+        assert!(!samples_ns.is_empty(), "benchmark {id} timed nothing");
+        samples_ns.sort_by(f64::total_cmp);
         let m = Measurement {
             id,
-            ns_per_iter: bencher.best_ns,
+            samples_ns,
             iterations: bencher.iterations,
         };
-        eprintln!("{:<44} {:>12}  ({} iters)", m.id, m.human_time(), m.iterations);
+        eprintln!(
+            "{:<44} {}  ({} iters, {} samples)",
+            m.id,
+            m.spread(),
+            m.iterations,
+            m.samples_ns.len()
+        );
         self.results.push(m);
     }
 
@@ -126,9 +164,12 @@ impl Timer {
 
     /// Prints the final summary table.
     pub fn finish(&self) {
-        eprintln!("\n{} benchmarks, best mean per iteration:", self.results.len());
+        eprintln!(
+            "\n{} benchmarks, mean per iteration: min  median [p10, p90]",
+            self.results.len()
+        );
         for m in &self.results {
-            eprintln!("  {:<44} {:>12}", m.id, m.human_time());
+            eprintln!("  {:<44} {}", m.id, m.spread());
         }
     }
 }
@@ -162,7 +203,7 @@ impl Group<'_> {
 pub struct Bencher {
     warmup: Duration,
     budget: Duration,
-    best_ns: f64,
+    samples_ns: Vec<f64>,
     iterations: u64,
 }
 
@@ -187,8 +228,7 @@ impl Bencher {
             for _ in 0..batch {
                 std::hint::black_box(routine());
             }
-            let ns = t.elapsed().as_nanos() as f64 / batch as f64;
-            self.best_ns = self.best_ns.min(ns);
+            self.samples_ns.push(t.elapsed().as_nanos() as f64 / batch as f64);
             self.iterations += batch;
             batches += 1;
         }
@@ -219,8 +259,7 @@ impl Bencher {
             let input = setup();
             let t = Instant::now();
             std::hint::black_box(routine(input));
-            let ns = t.elapsed().as_nanos() as f64;
-            self.best_ns = self.best_ns.min(ns);
+            self.samples_ns.push(t.elapsed().as_nanos() as f64);
             self.iterations += 1;
         }
     }
@@ -245,7 +284,7 @@ mod tests {
             b.iter(|| (0..100u64).sum::<u64>())
         });
         let m = &timer.results()[0];
-        assert!(m.ns_per_iter.is_finite() && m.ns_per_iter > 0.0);
+        assert!(m.min_ns().is_finite() && m.min_ns() > 0.0);
         assert!(m.iterations > 0);
     }
 
@@ -260,7 +299,7 @@ mod tests {
             )
         });
         let m = &timer.results()[0];
-        assert!(m.ns_per_iter.is_finite() && m.ns_per_iter > 0.0);
+        assert!(m.min_ns().is_finite() && m.min_ns() > 0.0);
     }
 
     #[test]
@@ -277,14 +316,45 @@ mod tests {
 
     #[test]
     fn human_times_cover_magnitudes() {
-        let m = |ns: f64| Measurement {
+        assert!(human_time(5.0).ends_with("ns"));
+        assert!(human_time(5_000.0).ends_with("µs"));
+        assert!(human_time(5_000_000.0).ends_with("ms"));
+        assert!(human_time(5_000_000_000.0).ends_with(" s"));
+    }
+
+    #[test]
+    fn every_sample_is_kept_and_the_spread_is_ordered() {
+        let mut timer = fast_timer();
+        timer.bench_function("spin", |b| b.iter(|| (0..100u64).sum::<u64>()));
+        timer.bench_function("batched", |b| {
+            b.iter_batched(|| vec![1u8; 64], |v| v.len(), BatchSize::PerIteration)
+        });
+        for m in timer.results() {
+            assert!(m.samples_ns.len() > 1, "{}: one sample per batch", m.id);
+            assert!(m.samples_ns.windows(2).all(|w| w[0] <= w[1]), "ascending");
+            let (p10, median, p90) = (m.quantile_ns(0.1), m.median_ns(), m.quantile_ns(0.9));
+            assert!(m.min_ns() <= p10 && p10 <= median && median <= p90, "{}", m.id);
+            assert!(p90 <= m.quantile_ns(1.0));
+        }
+    }
+
+    #[test]
+    fn quantiles_interpolate_between_ranks() {
+        let m = Measurement {
             id: String::new(),
-            ns_per_iter: ns,
-            iterations: 1,
+            samples_ns: vec![10.0, 20.0, 30.0, 40.0, 50.0],
+            iterations: 5,
         };
-        assert!(m(5.0).human_time().ends_with("ns"));
-        assert!(m(5_000.0).human_time().ends_with("µs"));
-        assert!(m(5_000_000.0).human_time().ends_with("ms"));
-        assert!(m(5_000_000_000.0).human_time().ends_with(" s"));
+        let near = |a: f64, b: f64| (a - b).abs() < 1e-9;
+        assert_eq!(m.min_ns(), 10.0);
+        assert_eq!(m.median_ns(), 30.0);
+        assert!(near(m.quantile_ns(0.1), 14.0));
+        assert!(near(m.quantile_ns(0.9), 46.0));
+        assert_eq!(m.quantile_ns(1.0), 50.0);
+        let even = Measurement {
+            samples_ns: vec![1.0, 3.0],
+            ..m
+        };
+        assert_eq!(even.median_ns(), 2.0);
     }
 }

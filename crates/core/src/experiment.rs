@@ -10,7 +10,7 @@
 
 use crate::finetune::{prune_and_retrain, FinetuneConfig, OptimizerKind};
 use crate::strategy::StrategyKind;
-use sb_data::{batches_of, DatasetSpec, Split, SyntheticVision};
+use sb_data::{batches_of, first_batch_of, DatasetSpec, Split, SyntheticVision};
 use sb_metrics::{mean_std, MeanStd};
 use sb_nn::{
     models, EarlyStopping, EvalMetrics, LrSchedule, NetworkExt, ParamSnapshot, TrainConfig, Trainer,
@@ -861,15 +861,7 @@ impl CellJob {
     /// a dense-compiled baseline, then times both over one validation
     /// batch: `(realized speedup, median latency in µs)`.
     fn measure_realized(&self, net: &sb_nn::models::Model) -> (Option<f64>, Option<f64>) {
-        let batch = batches_of(
-            &self.data,
-            Split::Val,
-            64,
-            None,
-            self.model.flatten_input(),
-        )
-        .into_iter()
-        .next();
+        let batch = first_batch_of(&self.data, Split::Val, 64, None, self.model.flatten_input());
         let Some((x, _)) = batch else {
             return (None, None);
         };

@@ -11,7 +11,7 @@
 
 use crate::pruner::{PruneError, PruneOutcome, Pruner, PruneSettings};
 use crate::strategy::Strategy;
-use sb_data::{batches_of, Split, SyntheticVision};
+use sb_data::{batches_of, first_batch_of, Split, SyntheticVision};
 use sb_nn::{
     evaluate, Adam, EarlyStopping, EvalMetrics, LrSchedule, Network, NetworkExt, Optimizer, Sgd,
     TrainConfig, Trainer,
@@ -284,9 +284,7 @@ pub fn prune_and_retrain(
         // Scoring batch for gradient strategies: one training minibatch.
         let score_batch = if strategy.needs_gradients() {
             let mut fork = rng.fork(0x5C0E);
-            batches_of(data, Split::Train, config.batch_size, Some(&mut fork), config.flatten_input)
-                .into_iter()
-                .next()
+            first_batch_of(data, Split::Train, config.batch_size, Some(&mut fork), config.flatten_input)
         } else {
             None
         };

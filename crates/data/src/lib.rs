@@ -29,5 +29,5 @@ mod loader;
 mod spec;
 
 pub use generator::SyntheticVision;
-pub use loader::{batches_of, Batch};
+pub use loader::{batches_of, first_batch_of, Batch};
 pub use spec::{DatasetSpec, Split};

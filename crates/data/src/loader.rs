@@ -32,32 +32,68 @@ pub fn batches_of(
     shuffle: Option<&mut Rng>,
     flatten: bool,
 ) -> Vec<Batch> {
+    let order = sample_order(data, split, batch_size, shuffle);
+    order
+        .chunks(batch_size)
+        .map(|chunk| gather(data, split, chunk, flatten))
+        .collect()
+}
+
+/// The first batch [`batches_of`] would return, built alone: the same
+/// sample order (a shuffle draws the same permutation, so `shuffle` ends
+/// in the same state), without gathering the rest of the split. `None`
+/// when the split is empty.
+///
+/// # Panics
+///
+/// Panics if `batch_size == 0`.
+pub fn first_batch_of(
+    data: &SyntheticVision,
+    split: Split,
+    batch_size: usize,
+    shuffle: Option<&mut Rng>,
+    flatten: bool,
+) -> Option<Batch> {
+    let order = sample_order(data, split, batch_size, shuffle);
+    let first = order.chunks(batch_size).next()?;
+    Some(gather(data, split, first, flatten))
+}
+
+/// The order in which `split`'s samples are batched: a permutation
+/// drawn from `shuffle`, or index order. Checks `batch_size` for both
+/// public entry points.
+fn sample_order(
+    data: &SyntheticVision,
+    split: Split,
+    batch_size: usize,
+    shuffle: Option<&mut Rng>,
+) -> Vec<usize> {
     assert!(batch_size > 0, "batch_size must be positive");
     let n = data.len(split);
-    let order: Vec<usize> = match shuffle {
+    match shuffle {
         Some(rng) => rng.permutation(n),
         None => (0..n).collect(),
-    };
+    }
+}
+
+/// Stacks the samples of `split` that `chunk` indexes into one batch,
+/// copied from the split's cached images.
+fn gather(data: &SyntheticVision, split: Split, chunk: &[usize], flatten: bool) -> Batch {
     let spec = data.spec();
     let feature_len = spec.channels * spec.side * spec.side;
     let images = data.images(split);
-    let mut batches = Vec::with_capacity(n.div_ceil(batch_size));
-    for chunk in order.chunks(batch_size) {
-        let mut flat = Vec::with_capacity(chunk.len() * feature_len);
-        let mut labels = Vec::with_capacity(chunk.len());
-        for &idx in chunk {
-            flat.extend_from_slice(&images[idx * feature_len..(idx + 1) * feature_len]);
-            labels.push(data.label(split, idx));
-        }
-        let dims: Vec<usize> = if flatten {
-            vec![chunk.len(), feature_len]
-        } else {
-            vec![chunk.len(), spec.channels, spec.side, spec.side]
-        };
-        let x = Tensor::from_vec(flat, &dims).expect("sized above");
-        batches.push((x, labels));
+    let mut flat = Vec::with_capacity(chunk.len() * feature_len);
+    let mut labels = Vec::with_capacity(chunk.len());
+    for &idx in chunk {
+        flat.extend_from_slice(&images[idx * feature_len..(idx + 1) * feature_len]);
+        labels.push(data.label(split, idx));
     }
-    batches
+    let dims: Vec<usize> = if flatten {
+        vec![chunk.len(), feature_len]
+    } else {
+        vec![chunk.len(), spec.channels, spec.side, spec.side]
+    };
+    (Tensor::from_vec(flat, &dims).expect("sized above"), labels)
 }
 
 #[cfg(test)]

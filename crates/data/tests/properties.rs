@@ -2,7 +2,7 @@
 //! on the in-repo `sb-check` harness.
 
 use sb_check::{check, prop_assert, prop_assert_eq, Config};
-use sb_data::{batches_of, DatasetSpec, Split, SyntheticVision};
+use sb_data::{batches_of, first_batch_of, DatasetSpec, Split, SyntheticVision};
 use sb_tensor::Rng;
 
 /// Pinned suite seed for replayable failures.
@@ -185,6 +185,48 @@ fn cached_batches_equal_stacked_samples() {
                     }
                 }
                 prop_assert!(next.next().is_none(), "every sample appears once");
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn first_batch_alone_equals_the_first_of_all_batches() {
+    check(
+        "data::first_batch_alone_equals_the_first_of_all_batches",
+        Config::new(CACHE_SUITE).cases(24),
+        |rng| {
+            (
+                (rng.below(1000) as u64, rng.below(3)),
+                rng.below(80) + 1,
+                rng.coin(0.5).then(|| rng.below(1000) as u64),
+                (rng.coin(0.5), rng.coin(0.5)),
+            )
+        },
+        |((seed, preset), batch, shuffle, (val, flatten))| {
+            let spec = match preset {
+                0 => DatasetSpec::mnist_like(*seed),
+                1 => DatasetSpec::cifar_like(*seed),
+                _ => DatasetSpec::imagenet_like(*seed),
+            };
+            let data = SyntheticVision::new(spec.scaled_down(32));
+            let batch = (*batch).max(1);
+            let split = if *val { Split::Val } else { Split::Train };
+            let (mut all_rng, mut one_rng) = (shuffle.map(Rng::seed_from), shuffle.map(Rng::seed_from));
+            // Built alone first, so the split's cache is filled by it.
+            let one = first_batch_of(&data, split, batch, one_rng.as_mut(), *flatten);
+            let all = batches_of(&data, split, batch, all_rng.as_mut(), *flatten);
+            let (x, labels) = one.expect("a scaled split is never empty");
+            let (ex, elabels) = &all[0];
+            prop_assert_eq!(&labels, elabels);
+            prop_assert_eq!(x.dims(), ex.dims());
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(x.data()), bits(ex.data()));
+            // The shuffle drew the same permutation: the rngs agree after.
+            if let (Some(a), Some(b)) = (all_rng.as_mut(), one_rng.as_mut()) {
+                prop_assert_eq!(a.next_u64(), b.next_u64());
+                prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
             }
             Ok(())
         },

@@ -32,7 +32,7 @@ pub mod storage;
 pub use aggregate::{mean_std, MeanStd};
 pub use ambiguity::{ambiguity_report, AmbiguityReport, FlopConvention, SizeConvention};
 pub use profile::{ModelProfile, OpProfile, ParamProfile};
-pub use realized::{median_latency_us, RealizedPoint, RealizedProfile, RealizedSweep};
+pub use realized::{RealizedPoint, RealizedProfile, RealizedSweep};
 pub use sched::{SchedProfile, TenantObs, TenantProfile};
 pub use serve::{percentile_us, RejectCounts, ServeProfile};
 pub use storage::{model_bytes, storage_report, StorageFormat, StorageReport};

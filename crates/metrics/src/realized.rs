@@ -8,10 +8,10 @@
 //! closely. [`RealizedProfile`] captures that gap as data.
 //!
 //! Measurement is closure-based so this crate stays independent of any
-//! particular execution engine: callers (the `sb-infer` benches, the
-//! experiment runner) pass "run the candidate once" / "run the dense
-//! baseline once" thunks. Latency is the **median of k runs** after one
-//! untimed warmup. The median shrugs off a single slow run, but not a slow
+//! particular execution engine: callers (the experiment runner, the
+//! `expfig` inference figures and sb-infer's speed suite) pass "run the
+//! candidate once" / "run the dense baseline once" thunks. Latency is
+//! the **median of k runs** after one untimed warmup. The median shrugs off a single slow run, but not a slow
 //! stretch of a shared host: timed back to back, k baseline runs and then
 //! k candidate runs put any drift between the two stretches into the
 //! ratio. [`RealizedProfile::measure`] therefore times k *pairs* and
@@ -22,18 +22,6 @@
 
 use sb_json::json_struct;
 use std::time::Instant;
-
-/// Wall-clock latency of one thunk invocation, as the median of `k`
-/// timed runs (after one untimed warmup), in microseconds.
-///
-/// # Panics
-///
-/// Panics if `k` is zero.
-pub fn median_latency_us<F: FnMut()>(k: usize, f: &mut F) -> f64 {
-    assert!(k > 0, "need at least one timed run");
-    f(); // warmup: touch caches, fault pages, spin up worker threads
-    median((0..k).map(|_| time_us(f)).collect())
-}
 
 /// Microseconds one call of `f` takes.
 fn time_us<F: FnMut()>(f: &mut F) -> f64 {
@@ -230,21 +218,6 @@ impl RealizedSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn median_is_robust_to_one_outlier() {
-        let mut calls = 0u32;
-        let mut thunk = || {
-            calls += 1;
-            // Make the 3rd timed call (4th including warmup) slow.
-            if calls == 4 {
-                std::thread::sleep(std::time::Duration::from_millis(5));
-            }
-        };
-        let med = median_latency_us(5, &mut thunk);
-        assert_eq!(calls, 6, "one warmup plus five timed runs");
-        assert!(med < 4000.0, "median {med}us should shrug off the outlier");
-    }
 
     #[test]
     fn measure_reports_speedup_of_slower_baseline() {

@@ -50,6 +50,12 @@ pub enum ArrivalProcess {
     },
 }
 
+/// Whether `rps` can pace arrivals: an infinite rate would put every
+/// arrival at t = 0 and never reach the horizon.
+fn positive_rate(rps: f64) -> bool {
+    rps.is_finite() && rps > 0.0
+}
+
 /// Uniform `f64` in `[0, 1)` from the generator's top 53 bits.
 fn unit(rng: &mut Rng) -> f64 {
     (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -64,7 +70,7 @@ impl ArrivalProcess {
         let mut out = Vec::new();
         match *self {
             ArrivalProcess::Uniform { rate_rps } => {
-                assert!(rate_rps > 0.0, "rate must be positive");
+                assert!(positive_rate(rate_rps), "rate must be positive and finite");
                 let mean_us = 1.0e6 / rate_rps;
                 let mut t = 0.0f64;
                 loop {
@@ -76,7 +82,7 @@ impl ArrivalProcess {
                 }
             }
             ArrivalProcess::Bursty { rate_rps, burst } => {
-                assert!(rate_rps > 0.0, "rate must be positive");
+                assert!(positive_rate(rate_rps), "rate must be positive and finite");
                 assert!(burst > 0, "burst must be positive");
                 let gap_us = 1.0e6 * burst as f64 / rate_rps;
                 let mut t = 0.0f64;
@@ -92,8 +98,8 @@ impl ArrivalProcess {
             }
             ArrivalProcess::Ramp { start_rps, end_rps } => {
                 assert!(
-                    start_rps > 0.0 && end_rps > 0.0,
-                    "rates must be positive"
+                    positive_rate(start_rps) && positive_rate(end_rps),
+                    "rates must be positive and finite"
                 );
                 let mut t = 0.0f64;
                 loop {
@@ -241,7 +247,8 @@ pub fn run_closed_loop_sim<E: BatchEngine + 'static>(
     assert!(clients > 0, "need at least one client");
     // Per-client state: next submit time (None once out of credit) and
     // remaining submissions. `owner[id] = client` routes completions.
-    let mut ready: Vec<Option<u64>> = vec![Some(0); clients];
+    let start = (requests_per_client > 0).then_some(0);
+    let mut ready: Vec<Option<u64>> = vec![start; clients];
     let mut credit: Vec<usize> = vec![requests_per_client; clients];
     let mut owner: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
     let mut out = Vec::new();
@@ -423,5 +430,33 @@ mod tests {
                 .all(|c| matches!(c.outcome, Outcome::Completed { .. })),
             "closed loop with no deadline completes everything"
         );
+    }
+
+    #[test]
+    fn closed_loop_sim_with_no_requests_submits_nothing() {
+        let (mut server, clock) = sim_server(
+            ServeConfig {
+                max_batch: 4,
+                max_wait_us: 500,
+                queue_cap: 16,
+                max_inflight: 1,
+            },
+            ServiceModel {
+                base_us: 100,
+                per_sample_us: 25,
+            },
+        );
+        let done = run_closed_loop_sim(&mut server, &clock, 3, 200, 0, None, |i| vec![i as f32]);
+        assert!(done.is_empty(), "a client with no credit never submits");
+        assert!(server.is_idle());
+    }
+
+    #[test]
+    #[should_panic(expected = "rate must be positive and finite")]
+    fn infinite_rate_is_rejected() {
+        ArrivalProcess::Uniform {
+            rate_rps: f64::INFINITY,
+        }
+        .arrivals(1_000, 1);
     }
 }

@@ -21,8 +21,9 @@ cargo build --release --offline
 # binaries are clippy-clean, and a new warning fails tier-1.
 cargo clippy --offline --all-targets -- -D warnings
 
-# Compile-check every bench target (realized.rs, kernels.rs, the infer
-# end-to-end benches) without running them, so bench code can't rot.
+# Compile-check every bench target (the figures, kernels, pruning,
+# runtime and trace micro-benches) without running them, so bench code
+# can't rot.
 cargo bench --no-run --offline
 
 # The suite runs twice: once pinned to one runtime thread (exact inline
