@@ -55,8 +55,10 @@ pub struct CompiledModel {
     pub(crate) batch_block: usize,
     /// Largest per-sample activation any step reads or writes.
     pub(crate) max_act: usize,
-    /// Largest per-sample im2col patch matrix any lowered conv needs, or
-    /// padded sample any CSR conv needs ([`PackedConv::padded_len`]).
+    /// Largest patch buffer any step of a batch block needs: a lowered
+    /// conv's im2col patch matrix for the whole block, a CSR conv's padded
+    /// sample ([`PackedConv::padded_len`]) or a CSR linear layer's panel
+    /// ([`SparseMatrix::panel_len`]).
     pub(crate) max_patch: usize,
     /// Largest per-sample `[oh·ow, out_c]` row matrix any lowered conv
     /// needs.
@@ -430,6 +432,9 @@ impl Compiler<'_> {
         let (kernel, bias_vec, new_carry, effective) = build_kernel(choice, w, b, out_f);
         *carry = new_carry;
         let plan_out = kernel.out_features();
+        if let Kernel::Csr(sparse) = &kernel {
+            self.max_patch = self.max_patch.max(sparse.panel_len());
+        }
         self.record_plan(name, format, stats, &kernel, &bias_vec, dense_macs, effective);
         self.pending_label = Some(format!("{name}:{}", format.label()));
         (
@@ -482,7 +487,8 @@ impl Compiler<'_> {
             self.max_patch = self.max_patch.max(PackedConv::padded_len(&geom));
             kernel = Kernel::CsrConv(PackedConv::pack(sparse, &geom));
         } else {
-            self.max_patch = self.max_patch.max(spatial * geom.patch_len());
+            let block_patch = self.opts.batch_block * spatial * geom.patch_len();
+            self.max_patch = self.max_patch.max(block_patch);
             self.max_rows = self.max_rows.max(spatial * out_c);
         }
         let out = FeatureShape::Image {

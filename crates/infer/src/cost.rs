@@ -8,7 +8,7 @@
 //! | format | terms |
 //! |--------|-------|
 //! | dense, shrunk | `panel_rows·cols·S` multiply-adds in the tile (rows rounded up to whole panels, [`PackedRhs::padded_rows`]); for a conv also `cols·S` unfolded elements and `rows·S` reordered outputs |
-//! | csr, linear | `nnz` stored entries and `rows` output rows of the row tile |
+//! | csr, linear | `nnz` stored entries and `rows` output rows of the lane-panel kernel |
 //! | csr, conv | per stride class (1, or more): `nnz·out_h·⌈out_w / 8⌉` weight steps of the register tile ([`PackedConv::row_tiles`]) and the padded copy's elements ([`PackedConv::padded_len`]) |
 //! | bsr | `cols·S` unfolded elements (conv only), `rows·S` output rows, `blocks·S` live blocks |
 //! | bitmap | `cols·S` unfolded elements (conv only), `rows·S` output rows, `nnz·S` set bits, `words·S` mask words |
@@ -66,7 +66,7 @@ pub enum Term {
     /// The register tile, with a conv's unfold and reorder: dense and
     /// shrunk layers.
     Dense,
-    /// The CSR row tile of a linear layer.
+    /// The CSR lane-panel kernel of a linear layer.
     CsrLinear,
     /// The sparse convolution at stride 1.
     CsrConv,

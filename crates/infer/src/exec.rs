@@ -11,8 +11,10 @@
 //! scratch and computes NCHW output from it a register tile at a time.
 //! Every other conv step unfolds with `sb_tensor::im2col_into`, the loop
 //! `Conv2d` runs, multiplies the patch rows, and reorders with
-//! `sb_tensor::rows_to_nchw`. CSR linear steps run sb-tensor's row-tiled
-//! `SparseMatrix::matmul_rows`. Every kernel keeps the float order of the
+//! `sb_tensor::rows_to_nchw`. CSR linear steps run sb-tensor's
+//! `SparseMatrix::matmul_rows`, which copies eight activation rows at a
+//! time into a panel in the block's `patch` scratch and feeds each stored
+//! weight to all eight from it. Every kernel keeps the float order of the
 //! eval-mode layer in `sb-nn` (each output's products added in ascending
 //! patch column from `+0.0`, bias added after the full accumulation,
 //! unfused batch-norm arithmetic), so a dense-compiled model reproduces
@@ -26,8 +28,9 @@ use std::sync::Mutex;
 
 /// Per-worker scratch: activation ping-pong buffers, a residual stash,
 /// im2col/row staging for the convs that lower to a product (a CSR conv
-/// pads one sample at a time into `patch`), all sized once for the
-/// worst-case layer.
+/// pads one sample at a time into `patch`, and a CSR linear layer copies
+/// eight activation rows at a time into it as a panel), all sized once for
+/// the worst-case layer.
 struct Scratch {
     cur: Vec<f32>,
     tmp: Vec<f32>,
@@ -42,7 +45,7 @@ impl Scratch {
             cur: vec![0.0; block * m.max_act],
             tmp: vec![0.0; block * m.max_act],
             res: vec![0.0; block * m.max_act],
-            patch: vec![0.0; block * m.max_patch],
+            patch: vec![0.0; m.max_patch],
             rows: vec![0.0; block * m.max_rows],
         }
     }
@@ -224,8 +227,13 @@ fn apply_step(
             sb_trace::add(sb_trace::CounterId::Flops, kernel.macs() * b as u64);
             sb_trace::add(sb_trace::CounterId::BytesMoved, kernel.param_bytes() as u64);
             let in_d = p.in_shape.numel();
-            let out_d = p.out_shape.numel();
-            matmul_rows(kernel, bias, &cur[..b * in_d], in_d, &mut tmp[..b * out_d]);
+            let (x, y) = (&cur[..b * in_d], &mut tmp[..b * p.out_shape.numel()]);
+            if let Kernel::Csr(sparse) = kernel {
+                sparse.matmul_rows(x, patch, y);
+                add_bias(y, bias);
+            } else {
+                matmul_rows(kernel, bias, x, in_d, y);
+            }
             std::mem::swap(cur, tmp);
         }
         Step::Conv {
@@ -285,11 +293,7 @@ fn apply_step(
 fn matmul_rows(kernel: &Kernel, bias: &[f32], x: &[f32], in_d: usize, y: &mut [f32]) {
     match kernel {
         Kernel::Dense(w) => dense_rows(w, bias, x, y),
-        Kernel::Csr(s) => {
-            debug_assert_eq!(s.cols(), in_d, "CSR kernel input width");
-            s.matmul_rows(x, y);
-            add_bias(y, bias);
-        }
+        Kernel::Csr(_) => unreachable!("CSR linear steps run over their panel"),
         Kernel::CsrConv(_) => unreachable!("packed sparse convs run as conv steps"),
         Kernel::Bsr(b) => {
             debug_assert_eq!(b.cols(), in_d, "BSR kernel input width");

@@ -4,9 +4,9 @@
 //! replaced: one accumulator per output over unfolded patch rows, with an
 //! indirect column load per stored nonzero, which an early
 //! `latency-attribution` run showed costing conv layers ~6× their FLOP
-//! count. CSR now runs a row tile on linear layers and the packed sparse
-//! convolution on convs, and the fitted cost model picks neither format
-//! for any layer of its fit's 32 models. They attack the same problem
+//! count. CSR now runs a lane-panel kernel on linear layers and the
+//! packed sparse convolution on convs, and the fitted cost model picks
+//! neither format for any layer of its fit's 32 models. They attack the same problem
 //! from different ends. [`BsrMatrix`] amortizes that index overhead across a
 //! fixed-width block of contiguous lanes (one column index per
 //! [`BSR_BLOCK_W`] multiply-adds, and the matching input lanes are
@@ -30,11 +30,11 @@ use sb_tensor::Tensor;
 
 /// Fixed BSR block width (columns per block).
 ///
-/// Tuned on the `realized` bench: 4 lanes amortize the per-block index
-/// to a quarter of CSR's per-nonzero cost while keeping the occupancy
-/// blow-up of *random* (unstructured) sparsity tolerable — at 16×
-/// pruning (~6% density) a 4-wide block is live with probability ~22%,
-/// so the kernel still skips ~78% of the dense work.
+/// 4 lanes amortize the per-block index to a quarter of CSR's per-nonzero
+/// cost while keeping the occupancy blow-up of *random* (unstructured)
+/// sparsity tolerable — at 16× pruning (~6% density) a 4-wide block is
+/// live with probability ~22%, so the kernel still skips ~78% of the
+/// dense work.
 pub const BSR_BLOCK_W: usize = 4;
 
 /// Block-compressed sparse rows with a fixed block width.

@@ -20,7 +20,10 @@
 //!   sb-tensor's register tile ([`sb_tensor::PackedRhs`]), the same tile
 //!   that runs every training forward; the baseline and the fallback.
 //! * [`ExecFormat::Csr`] — compressed sparse rows. A linear layer runs
-//!   sb-tensor's row tile ([`sb_tensor::SparseMatrix::matmul_rows`]); a
+//!   sb-tensor's lane-panel kernel
+//!   ([`sb_tensor::SparseMatrix::matmul_rows`]): eight activation rows
+//!   copied column-major into a panel, so each stored weight multiplies
+//!   eight contiguous lanes; a
 //!   conv runs the packed sparse convolution ([`sb_tensor::PackedConv`]):
 //!   its weights' offsets into a zero-padded sample are packed at compile
 //!   time, and it needs no unfold, computing a register tile of one output

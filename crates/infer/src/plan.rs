@@ -46,10 +46,10 @@ pub enum ExecFormat {
     /// Dense weights, packed once at compile time into the panels of
     /// sb-tensor's register tile ([`sb_tensor::PackedRhs`]).
     Dense,
-    /// Compressed sparse rows: the row tile over a [`SparseMatrix`] for a
-    /// linear layer, the output-stationary sparse convolution over a
-    /// [`PackedConv`] for a conv; wins when unstructured pruning leaves
-    /// few enough nonzeros to beat the tile.
+    /// Compressed sparse rows: the lane-panel kernel over a
+    /// [`SparseMatrix`] for a linear layer, the output-stationary sparse
+    /// convolution over a [`PackedConv`] for a conv; wins when
+    /// unstructured pruning leaves few enough nonzeros to beat the tile.
     Csr,
     /// Physically smaller dense weights: rows zeroed by structured pruning
     /// are dropped and the shrink propagates into the next layer's columns.

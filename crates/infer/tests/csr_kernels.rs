@@ -1,7 +1,7 @@
-//! Bitwise suite for the two CSR kernels that sb-infer runs: the row tile
-//! `SparseMatrix::matmul_rows` (linear layers) and the direct sparse
-//! convolution `sparse_conv_into` (conv layers), each followed by the
-//! bias add sb-infer's step does.
+//! Bitwise suite for the two CSR kernels that sb-infer runs: the
+//! lane-panel kernel `SparseMatrix::matmul_rows` (linear layers) and the
+//! direct sparse convolution `sparse_conv_into` (conv layers), each
+//! followed by the bias add sb-infer's step does.
 //!
 //! The references are in-test copies of the CSR path these kernels
 //! replaced: one accumulator per output, its stored entries added in
@@ -9,11 +9,12 @@
 //! loop over `im2col_into`'s patch rows, then `rows_to_nchw`. Every
 //! output must match bit for bit (any NaN matches any NaN), on inputs
 //! with `±0.0`, `±∞`, ReLU zeros and `±0.0` biases, densities from 0
-//! (empty rows) to 1, 0–3 samples, row counts that are not multiples of
-//! the tile, and conv windows that lie wholly in padding. Finally every
-//! model of the zoo, pruned by global magnitude, is compiled forced CSR
-//! and forced dense, and the two must agree bit for bit on finite
-//! inputs.
+//! (empty rows) to 1, and conv windows that lie wholly in padding. The
+//! linear kernel runs 0–19 rows, so that one and two full groups of its
+//! eight lanes and every tail run, twice over one panel buffer that first
+//! holds NaN and then another shape's panel. Finally every model of the
+//! zoo, pruned by global magnitude, is compiled forced CSR and forced
+//! dense, and the two must agree bit for bit on finite inputs.
 //!
 //! The packed kernel that sb-infer runs (`PackedConv::run`, over a padded
 //! scratch buffer it is handed) has a property of its own: output widths
@@ -116,32 +117,45 @@ fn csr_row_tile_is_bitwise_the_row_loop() {
         "infer::csr_row_tile_is_bitwise_the_row_loop",
         Config::new(SUITE).cases(256),
         |rng| {
-            // Batch rows 0–11, so that most counts are not tile multiples.
-            (
-                (rng.below(12), rng.below(13)),
-                rng.below(41),
-                rng.below(1 << 20) as u64,
-                rng.coin(0.5),
-            )
+            // Batch rows 0–19, so that one and two full lane groups and
+            // every tail run, for two shapes that share one panel.
+            let mut shape = || ((rng.below(20), rng.below(13)), rng.below(41));
+            ((shape(), shape()), rng.below(1 << 20) as u64, rng.coin(0.5))
         },
-        |&((m, rows), cols, seed, specials)| {
+        |&((first, second), seed, specials)| {
             let mut rng = Rng::seed_from(seed);
-            let w = weights(&mut rng, rows, cols);
-            let b = bias(&mut rng, rows);
-            let x: Vec<f32> = (0..m * cols)
-                .map(|_| activation(&mut rng, specials))
+            let cases: Vec<_> = [first, second]
+                .iter()
+                .map(|&((m, rows), cols)| {
+                    let w = weights(&mut rng, rows, cols);
+                    let b = bias(&mut rng, rows);
+                    let x: Vec<f32> = (0..m * cols)
+                        .map(|_| activation(&mut rng, specials))
+                        .collect();
+                    (m, w, b, x)
+                })
                 .collect();
-            let mut want = vec![0.0f32; m * rows];
-            csr_reference(&w, &b, &x, &mut want);
-            // NaN-filled, so that an output the tile skips fails.
-            let mut got = vec![f32::NAN; m * rows];
-            w.matmul_rows(&x, &mut got);
-            for yr in got.chunks_exact_mut(rows.max(1)) {
-                for (o, &bj) in yr.iter_mut().zip(&b) {
-                    *o += bj;
+            // NaN-filled for the first shape, so that a lane the kernel
+            // neither copies nor zeros fails; the second shape then runs
+            // over what the first left in it.
+            let len = cases.iter().map(|(_, w, _, _)| w.panel_len()).max().unwrap_or(0);
+            let mut panel = vec![f32::NAN; len];
+            for (pass, (m, w, b, x)) in ["NaN-filled", "reused"].iter().zip(&cases) {
+                let rows = w.rows();
+                let mut want = vec![0.0f32; m * rows];
+                csr_reference(w, b, x, &mut want);
+                // NaN-filled, so that an output the kernel skips fails.
+                let mut got = vec![f32::NAN; m * rows];
+                w.matmul_rows(x, &mut panel, &mut got);
+                for yr in got.chunks_exact_mut(rows.max(1)) {
+                    for (o, &bj) in yr.iter_mut().zip(b) {
+                        *o += bj;
+                    }
                 }
+                let shape = format!("{m} rows by [{rows}, {}]", w.cols());
+                assert_bitwise(&got, &want, &format!("matmul_rows, {pass} panel, {shape}"))?;
             }
-            assert_bitwise(&got, &want, "matmul_rows")
+            Ok(())
         },
     );
 }

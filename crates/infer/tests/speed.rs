@@ -3,7 +3,7 @@
 //!
 //! The baseline is the dense-compiled twin on the same batch, which runs
 //! sb-tensor's register tile: a strong baseline, not a strawman. CSR
-//! linear layers run the row tile and CSR convs the packed sparse
+//! linear layers run the lane-panel kernel and CSR convs the packed sparse
 //! convolution (`sb_tensor::PackedConv`). These are wall-clock assertions, so each ratio comes from
 //! [`PAIRS`] interleaved candidate/baseline pairs and the floors leave a
 //! margin; EXPERIMENTS.md records the measured ratios behind each floor.

@@ -39,8 +39,9 @@
 //! each output starts at `0.0` and adds its products one at a time in
 //! ascending `k`, with no fused multiply-add, so its results are
 //! bit-identical to the plain dot-product loop. The CSR product `a · Wᵀ`
-//! has a row tile of its own, [`SparseMatrix::matmul_rows`], with the
-//! same order.
+//! has a kernel of its own, [`SparseMatrix::matmul_rows`], with the same
+//! order: eight rows of `a` copied column-major into a panel, each stored
+//! weight multiplying all eight lanes at once.
 //!
 //! # Example
 //!

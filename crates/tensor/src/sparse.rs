@@ -4,26 +4,26 @@
 //! network that "may not be arranged in a fashion conducive to speedups
 //! using modern libraries and hardware". This module makes that claim
 //! measurable in-repo: convert a pruned weight matrix to CSR, run the
-//! actual sparse kernel, and compare wall-clock against the dense matmul —
-//! the *realized* counterpart of `sb-metrics`' theoretical speedup
-//! (exercised by the `realized` wall-clock benchmark).
+//! actual sparse kernel, and compare wall-clock against the dense product
+//! — the *realized* counterpart of `sb-metrics`' theoretical speedup.
 //!
-//! The inference-side product `a · Wᵀ` runs one row-tiled loop,
-//! [`SparseMatrix::matmul_rows`]: each stored entry's index and value
-//! load feeds [`ROW_TILE`] rows' accumulators, so the loop has that many
-//! independent add chains in flight instead of one. Each output still
-//! starts at `0.0` and adds its products in ascending column, so the tile
-//! is bit-identical to the one-output-at-a-time loop.
-//! [`SparseMatrix::dense_matmul_transposed`] calls it from its row blocks
-//! and sb-infer's CSR linear layers call it on their batch blocks. A CSR
-//! convolution runs [`crate::PackedConv`] instead.
+//! The inference-side product `a · Wᵀ` runs one kernel,
+//! [`SparseMatrix::matmul_rows`]: it copies [`LANES`] rows of `a` into a
+//! column-major panel, so that each stored entry's index and value load
+//! feeds one contiguous [`LANES`]-wide accumulator (two SSE2 vectors)
+//! with no gathers. Each output still starts at `+0.0` and adds its
+//! products in ascending column, so the kernel is bit-identical to the
+//! one-output-at-a-time loop. [`SparseMatrix::dense_matmul_transposed`]
+//! calls it from its row blocks and sb-infer's CSR linear layers call it
+//! on their batch blocks. A CSR convolution runs [`crate::PackedConv`]
+//! instead.
 
 use crate::tensor::Tensor;
 use sb_json::json_struct;
 
-/// Rows of `a` per tile of [`SparseMatrix::matmul_rows`]: each stored
-/// entry's index and value load feeds this many accumulators.
-const ROW_TILE: usize = 4;
+/// Rows of `a` per lane group of [`SparseMatrix::matmul_rows`]: two SSE2
+/// vectors of `f32`.
+const LANES: usize = 8;
 
 /// A sparse matrix in compressed-sparse-row format.
 ///
@@ -137,78 +137,31 @@ impl SparseMatrix {
         self.values.len() * 4 + self.col_idx.len() * 4 + self.row_ptr.len() * 4
     }
 
-    /// Rows per parallel task, targeting ~32k mul-adds per task like the
-    /// dense kernels in `linalg.rs`. Sized from the matrix itself (average
-    /// nnz per row × output width), so chunk boundaries depend only on the
-    /// operands — never on the worker count — keeping results bit-identical
-    /// at any `SB_RUNTIME_THREADS`.
-    fn rows_per_task(&self, out_width: usize) -> usize {
-        let work_per_row = (self.nnz() / self.rows.max(1)).max(1) * out_width.max(1);
-        (32_768 / work_per_row).clamp(1, self.rows.max(1))
-    }
-
-    /// Sparse × dense product: `self [m, k] × rhs [k, n] → [m, n]`.
-    ///
-    /// Cost is proportional to `nnz × n` — this is the kernel whose
-    /// wall-clock, compared against [`Tensor::matmul`], measures the
-    /// *realized* speedup of unstructured pruning.
-    ///
-    /// Parallelized over disjoint blocks of output rows. Each output
-    /// element is accumulated by exactly one task in the exact
-    /// `k`-ascending index order the sequential loop uses, so output is
-    /// bit-identical for any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rhs` is not 2-D or its row count differs from
-    /// `self.cols()`.
-    pub fn matmul_dense(&self, rhs: &Tensor) -> Tensor {
-        assert_eq!(rhs.shape().ndim(), 2, "rhs must be 2-D");
-        assert_eq!(
-            rhs.dim(0),
-            self.cols,
-            "inner dimensions differ: {}x{} × {}x{}",
-            self.rows,
-            self.cols,
-            rhs.dim(0),
-            rhs.dim(1)
-        );
-        let n = rhs.dim(1);
-        let mut out = vec![0.0f32; self.rows * n];
-        if out.is_empty() {
-            return Tensor::from_vec(out, &[self.rows, n]).expect("shape computed above");
-        }
-        let rhs_data = rhs.data();
-        let rows_per = self.rows_per_task(n);
-        sb_runtime::for_each_chunk_mut(&mut out, rows_per * n, |ci, block| {
-            let row0 = ci * rows_per;
-            for (r, out_row) in block.chunks_mut(n).enumerate() {
-                let row = row0 + r;
-                let (lo, hi) = (self.row_ptr[row] as usize, self.row_ptr[row + 1] as usize);
-                for k in lo..hi {
-                    let v = self.values[k];
-                    let rhs_row = &rhs_data[self.col_idx[k] as usize * n..][..n];
-                    for (o, &b) in out_row.iter_mut().zip(rhs_row) {
-                        *o += v * b;
-                    }
-                }
-            }
-        });
-        Tensor::from_vec(out, &[self.rows, n]).expect("shape computed above")
+    /// The panel elements [`SparseMatrix::matmul_rows`] writes: `LANES ×
+    /// cols`.
+    pub fn panel_len(&self) -> usize {
+        LANES * self.cols
     }
 
     /// `out = a · selfᵀ` for the row-major rows of `a` (`m × cols` values)
-    /// into `out` (`m × rows`), on the calling thread: [`ROW_TILE`]-row
-    /// tiles, then the last rows one at a time. For each output column `j`
-    /// a tile walks row `j`'s stored entries once, and each entry's index
-    /// and value feed one accumulator per tile row. Each output starts at
-    /// `0.0` and adds `v · a[i][col]` in ascending column, so splitting
-    /// `a`'s rows between calls never changes a bit.
+    /// into `out` (`m × rows`), on the calling thread, using the first
+    /// [`SparseMatrix::panel_len`] elements of `panel` as scratch. Every
+    /// element of `out` and of that prefix is written, so both may hold
+    /// anything beforehand.
+    ///
+    /// The rows of `a` run in groups of [`LANES`]: a group is copied once
+    /// into the panel as `[cols, LANES]`, lanes past the last row zeroed.
+    /// For each output column `j` the group then walks row `j`'s stored
+    /// entries once, and each `(col, v)` adds `v × panel[col]` into a
+    /// `LANES`-wide accumulator with contiguous loads. Each output starts
+    /// at `+0.0` and adds `v · a[i][col]` in ascending column, so
+    /// splitting `a`'s rows between calls never changes a bit.
     ///
     /// # Panics
     ///
-    /// Panics if `a` and `out` do not hold the same number of rows.
-    pub fn matmul_rows(&self, a: &[f32], out: &mut [f32]) {
+    /// Panics if `a` and `out` do not hold the same number of rows, or if
+    /// `panel` is shorter than [`SparseMatrix::panel_len`].
+    pub fn matmul_rows(&self, a: &[f32], panel: &mut [f32], out: &mut [f32]) {
         let (n, k) = (self.rows, self.cols);
         // `a` has no values to count rows by when `k` is 0.
         let m = a.len().checked_div(k).unwrap_or(out.len() / n.max(1));
@@ -219,6 +172,7 @@ impl SparseMatrix {
             a.len(),
             out.len()
         );
+        let panel = &mut panel[..self.panel_len()];
         if out.is_empty() {
             return;
         }
@@ -226,34 +180,30 @@ impl SparseMatrix {
             out.fill(0.0);
             return;
         }
-        for (out_tile, a_tile) in out.chunks_mut(ROW_TILE * n).zip(a.chunks(ROW_TILE * k)) {
-            if out_tile.len() == ROW_TILE * n {
-                self.row_tile::<ROW_TILE>(a_tile, out_tile);
-            } else {
-                for (out_row, a_row) in out_tile.chunks_mut(n).zip(a_tile.chunks(k)) {
-                    self.row_tile::<1>(a_row, out_row);
+        for (out_group, a_group) in out.chunks_mut(LANES * n).zip(a.chunks(LANES * k)) {
+            fill_panel(a_group, k, panel);
+            for j in 0..n {
+                let acc = self.lane_dot(j, panel);
+                for (o, &v) in out_group[j..].iter_mut().step_by(n).zip(&acc) {
+                    *o = v;
                 }
             }
         }
     }
 
-    /// `R` output rows of `a · selfᵀ` (`a_tile` is `R × cols`, `out_tile`
-    /// is `R × rows`).
-    fn row_tile<const R: usize>(&self, a_tile: &[f32], out_tile: &mut [f32]) {
-        let (n, k) = (self.rows, self.cols);
-        let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a_tile[r * k..(r + 1) * k]);
-        for j in 0..n {
-            let (cols, vals) = self.row(j);
-            let mut acc = [0.0f32; R];
-            for (&c, &v) in cols.iter().zip(vals) {
-                for (o, a_row) in acc.iter_mut().zip(&a_rows) {
-                    *o += v * a_row[c as usize];
-                }
-            }
-            for (r, &o) in acc.iter().enumerate() {
-                out_tile[r * n + j] = o;
+    /// Row `j`'s dot product with every lane of `panel`: each lane starts
+    /// at `+0.0` and adds its products in ascending column.
+    #[inline(always)]
+    fn lane_dot(&self, j: usize, panel: &[f32]) -> [f32; LANES] {
+        let (cols, vals) = self.row(j);
+        let mut acc = [0.0f32; LANES];
+        for (&c, &v) in cols.iter().zip(vals) {
+            let x = &panel[c as usize * LANES..][..LANES];
+            for (a, &x) in acc.iter_mut().zip(x) {
+                *a += v * x;
             }
         }
+        acc
     }
 
     /// Dense × sparseᵀ product: `lhs [m, k] × (self [n, k])ᵀ → [m, n]`.
@@ -262,7 +212,8 @@ impl SparseMatrix {
     /// `Linear` and `Conv2d` store) and `lhs` a batch of activations
     /// `[m, in]`, it computes `lhs · Wᵀ` without materializing the
     /// transpose, by running [`SparseMatrix::matmul_rows`] (the kernel of
-    /// sb-infer's CSR linear layers) over parallel blocks of `lhs` rows.
+    /// sb-infer's CSR linear layers) over parallel blocks of `lhs` rows,
+    /// each with a panel of its own.
     /// Each output element `out[i, j]` is a single dot product over row
     /// `j`'s stored entries, accumulated in `k`-ascending index order, so
     /// results are bit-identical at any thread count.
@@ -289,27 +240,40 @@ impl SparseMatrix {
             return Tensor::from_vec(out, &[m, n]).expect("shape computed above");
         }
         let a = lhs.data();
-        // One task handles a block of lhs rows; per row the whole CSR
-        // matrix is walked, so work per row ≈ nnz.
-        let rows_per = (32_768 / self.nnz().max(1)).clamp(1, m.max(1));
+        // One task handles a block of lhs rows, whole lane groups but the
+        // last; per row the whole CSR matrix is walked, so work per row ≈
+        // nnz.
+        let rows_per = (32_768 / self.nnz().max(1)).max(1).next_multiple_of(LANES).min(m);
         sb_runtime::for_each_chunk_mut(&mut out, rows_per * n, |ci, block| {
             let rows = block.len() / n;
-            self.matmul_rows(&a[ci * rows_per * k..][..rows * k], block);
+            let mut panel = vec![0.0f32; self.panel_len()];
+            self.matmul_rows(&a[ci * rows_per * k..][..rows * k], &mut panel, block);
         });
         Tensor::from_vec(out, &[m, n]).expect("shape computed above")
     }
+}
 
-    /// Sparse × vector product: `self [m, k] × v [k] → [m]`, the row
-    /// tile over one row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.numel() != self.cols()`.
-    pub fn matvec(&self, v: &Tensor) -> Tensor {
-        assert_eq!(v.numel(), self.cols, "vector length mismatch");
-        let mut out = vec![0.0f32; self.rows];
-        self.matmul_rows(v.data(), &mut out);
-        Tensor::from_vec(out, &[self.rows]).expect("shape computed above")
+/// Copies the rows of `a` (at most [`LANES`] rows of `k` values) into
+/// `panel` as `[k, LANES]`, lane `l` of column `c` holding `a[l][c]`, and
+/// zeros the lanes past the last row. Each column is read from every row
+/// and written as one contiguous run.
+fn fill_panel(a: &[f32], k: usize, panel: &mut [f32]) {
+    if a.len() == LANES * k {
+        let lanes: [&[f32]; LANES] = std::array::from_fn(|l| &a[l * k..][..k]);
+        for (c, column) in panel.chunks_exact_mut(LANES).enumerate() {
+            for (dst, lane) in column.iter_mut().zip(&lanes) {
+                *dst = lane[c];
+            }
+        }
+    } else {
+        // The last group of a call, with fewer rows.
+        for (c, column) in panel.chunks_exact_mut(LANES).enumerate() {
+            let (rows, past) = column.split_at_mut(a.len() / k);
+            for (dst, row) in rows.iter_mut().zip(a.chunks_exact(k)) {
+                *dst = row[c];
+            }
+            past.fill(0.0);
+        }
     }
 }
 
@@ -338,27 +302,18 @@ mod tests {
     }
 
     #[test]
-    fn sparse_matmul_matches_dense_matmul() {
-        let mut rng = Rng::seed_from(2);
-        let w = random_sparse(8, 12, 0.25, 3);
-        let x = Tensor::rand_normal(&[12, 5], 0.0, 1.0, &mut rng);
-        let sparse = SparseMatrix::from_dense(&w);
-        let fast = sparse.matmul_dense(&x);
-        let slow = w.matmul(&x);
-        for (a, b) in fast.data().iter().zip(slow.data()) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-        }
-    }
-
-    #[test]
     fn matvec_matches_dense() {
+        // One row of `a`: a lane group whose other seven lanes are zeroed
+        // over a NaN-filled panel.
         let mut rng = Rng::seed_from(4);
         let w = random_sparse(6, 9, 0.4, 5);
         let v = Tensor::rand_normal(&[9], 0.0, 1.0, &mut rng);
         let sparse = SparseMatrix::from_dense(&w);
-        let fast = sparse.matvec(&v);
+        let mut panel = vec![f32::NAN; sparse.panel_len()];
+        let mut fast = vec![f32::NAN; 6];
+        sparse.matmul_rows(v.data(), &mut panel, &mut fast);
         let slow = w.matvec(&v);
-        for (a, b) in fast.data().iter().zip(slow.data()) {
+        for (a, b) in fast.iter().zip(slow.data()) {
             assert!((a - b).abs() < 1e-4);
         }
     }
@@ -369,8 +324,8 @@ mod tests {
         let sparse = SparseMatrix::from_dense(&dense);
         assert_eq!(sparse.nnz(), 0);
         assert_eq!(sparse.density(), 0.0);
-        let x = Tensor::ones(&[4, 2]);
-        assert_eq!(sparse.matmul_dense(&x), Tensor::zeros(&[3, 2]));
+        let x = Tensor::ones(&[2, 4]);
+        assert_eq!(sparse.dense_matmul_transposed(&x), Tensor::zeros(&[2, 3]));
     }
 
     #[test]
@@ -398,13 +353,12 @@ mod tests {
         }
         // Degenerate products stay well-formed.
         let wide = SparseMatrix::from_dense(&Tensor::zeros(&[0, 5]));
-        assert_eq!(wide.matmul_dense(&Tensor::ones(&[5, 3])), Tensor::zeros(&[0, 3]));
-        let tall = SparseMatrix::from_dense(&Tensor::zeros(&[5, 0]));
-        assert_eq!(tall.matmul_dense(&Tensor::zeros(&[0, 3])), Tensor::zeros(&[5, 3]));
         assert_eq!(
             wide.dense_matmul_transposed(&Tensor::ones(&[2, 5])),
             Tensor::zeros(&[2, 0])
         );
+        let tall = SparseMatrix::from_dense(&Tensor::zeros(&[5, 0]));
+        assert_eq!(tall.dense_matmul_transposed(&Tensor::zeros(&[3, 0])), Tensor::zeros(&[3, 5]));
     }
 
     #[test]
@@ -429,10 +383,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "inner dimensions differ")]
+    #[should_panic(expected = "slice lengths disagree")]
     fn mismatched_product_panics() {
         let sparse = SparseMatrix::from_dense(&Tensor::ones(&[2, 3]));
-        sparse.matmul_dense(&Tensor::ones(&[4, 2]));
+        sparse.matmul_rows(&[1.0; 6], &mut [0.0; 24], &mut [0.0; 3]);
     }
 
     #[test]

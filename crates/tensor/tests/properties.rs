@@ -300,10 +300,10 @@ fn sparse_matmul_agrees_with_dense() {
                     0.0
                 }
             });
-            let x = Tensor::rand_normal(&[8, 4], 0.0, 1.0, &mut rng);
+            let x = Tensor::rand_normal(&[4, 8], 0.0, 1.0, &mut rng);
             let sparse = sb_tensor::SparseMatrix::from_dense(&w);
-            let fast = sparse.matmul_dense(&x);
-            let slow = w.matmul(&x);
+            let fast = sparse.dense_matmul_transposed(&x);
+            let slow = x.matmul_transposed(&w);
             for (a, b) in fast.data().iter().zip(slow.data()) {
                 prop_assert!((a - b).abs() <= 1e-3 * (1.0 + b.abs()));
             }

@@ -69,8 +69,9 @@ fn main() {
     }
     println!("  → index overhead makes byte compression lag parameter compression (Deep-Compression-style delta coding recovers most of it)\n");
 
-    // 2. Compute: realized speedup of the actual CSR kernel on the
-    //    largest pruned layer, vs the theoretical multiply-add ratio.
+    // 2. Compute: realized speedup of the actual CSR kernel over the dense
+    //    register tile on the largest pruned layer, vs the theoretical
+    //    multiply-add ratio.
     let mut weight: Option<Tensor> = None;
     net.visit_params(&mut |p| {
         if p.kind() == ParamKind::LinearWeight && p.name() == "fc1.weight" {
@@ -79,7 +80,7 @@ fn main() {
     });
     let weight = weight.expect("fc1.weight exists");
     let sparse = SparseMatrix::from_dense(&weight);
-    let x = Tensor::rand_normal(&[weight.dim(1), 32], 0.0, 1.0, &mut rng);
+    let x = Tensor::rand_normal(&[32, weight.dim(1)], 0.0, 1.0, &mut rng);
     let time = |f: &mut dyn FnMut()| {
         let mut best = f64::INFINITY;
         for _ in 0..7 {
@@ -90,10 +91,10 @@ fn main() {
         best
     };
     let dense_t = time(&mut || {
-        std::hint::black_box(weight.matmul(&x));
+        std::hint::black_box(x.matmul_transposed(&weight));
     });
     let sparse_t = time(&mut || {
-        std::hint::black_box(sparse.matmul_dense(&x));
+        std::hint::black_box(sparse.dense_matmul_transposed(&x));
     });
     println!(
         "fc1 ({}×{}, density {:.3}): theoretical speedup {:.2}×, realized CSR speedup {:.2}×",

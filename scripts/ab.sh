@@ -19,7 +19,9 @@
 # pairs of `benchmark --workload WORKLOAD --seconds SECONDS` (default 20),
 # the first run of a pair alternating between the sides, and prints both
 # medians of METRIC (default p50_ms) and CHANGE's ratio to BASE, with
-# every run's `correct` and `failed`. A METRIC with a dot in its name is
+# every run's `correct` and `failed`. METRIC `all` does so for every
+# end-to-end metric (`setup_s`, `p50_ms`, `p90_ms`, `throughput`,
+# `ref_p50_ms`) from the same runs. A METRIC with a dot in its name is
 # a per-layer one (e.g. `infer.lenet5_4x.auto_ms`): the runs then pass
 # `--trace 1`, and each run also prints every model's traced `auto_ms`
 # and `dense_ms`.
@@ -37,7 +39,7 @@
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
-    sed -n '2,35p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,37p' "$0" | sed 's/^# \{0,1\}//'
     exit 2
 fi
 base=$1 change=$2 workload=$3
@@ -53,7 +55,7 @@ fi
 
 # Hot symbols: label and a pattern for `nm -C`.
 symbols=(
-    "csr-row-tile|sb_tensor::sparse::SparseMatrix::matmul_rows$"
+    "csr-lanes|sb_tensor::sparse::SparseMatrix::matmul_rows$"
     "packed-conv|sb_tensor::conv::PackedConv::run$"
     "exec-matmul_rows|sb_infer::exec::matmul_rows$"
     "tile|sb_tensor::linalg::PackedRhs::matmul_rows$"
@@ -132,28 +134,56 @@ fi
 
 trace=0
 case $metric in *.*) trace=1 ;; esac
+metrics=$metric
+[ "$metric" = all ] && metrics="setup_s p50_ms p90_ms throughput ref_p50_ms"
+runs="$work/runs"
+: >"$runs"
 
-# The metric, `correct` and `failed` from a run's last output line, then
-# (traced runs) every model's `auto_ms`/`dense_ms`.
+# Appends each of $metrics from a run's last output line to $runs as
+# `LAYOUT SIDE METRIC VALUE`, and prints the values, `correct`, `failed`
+# and (traced runs) every model's `auto_ms`/`dense_ms`.
 read_run() {
     python3 -c '
 import json, sys
+runs, layout, side, *names = sys.argv[1:]
 r = json.loads(sys.stdin.read().strip().splitlines()[-1])
 m = r["metrics"]
-out = [str(m[sys.argv[1]]["value"]), str(r["correct"]).lower(), str(r["failed"])]
+out = []
+with open(runs, "a") as f:
+    for name in names:
+        v = m[name]["value"]
+        f.write("%s %s %s %r\n" % (layout, side, name, v))
+        out.append("%s=%s" % (name, v))
+out += ["correct=" + str(r["correct"]).lower(), "failed=" + str(r["failed"])]
+models = []
 for k in sorted(m):
     if k.endswith(".auto_ms"):
         d = m.get(k[: -len("auto_ms")] + "dense_ms", {}).get("value")
-        out.append("%s=%.3g/%s" % (k[: -len(".auto_ms")], m[k]["value"], "-" if d is None else "%.3g" % d))
+        models.append("%s=%.3g/%s" % (k[: -len(".auto_ms")], m[k]["value"], "-" if d is None else "%.3g" % d))
+if models:
+    out += ["auto/dense ms:"] + models
 print(" ".join(out))
-' "$metric"
+' "$runs" "$@" $metrics
 }
 
-median() { sort -g | awk '{v[NR]=$1} END {print (NR%2 ? v[(NR+1)/2] : (v[NR/2]+v[NR/2+1])/2)}'; }
+# Both sides' medians of each of $metrics and CHANGE's ratio, over the
+# runs of layout $1 (all layouts when empty), on lines labelled $2.
+summarize() {
+    python3 -c '
+import statistics, sys
+runs, workload, layout, label, *names = sys.argv[1:]
+rows = [line.split() for line in open(runs)]
+for name in names:
+    med = {}
+    for side in "ab":
+        vals = [float(v) for (l, s, n, v) in rows if n == name and s == side and layout in ("", l)]
+        med[side] = statistics.median(vals)
+    ratio = med["b"] / med["a"] if med["a"] else float("nan")
+    print("%s: %s %s base %.6g change %.6g ratio %.3f" % (label, workload, name, med["a"], med["b"], ratio))
+' "$runs" "$workload" "$1" "$2" $metrics
+}
 
-all_a=() all_b=()
 for seed in $(seq 1 "$seeds"); do
-    runs_a=() runs_b=()
     for p in $(seq 1 "$pairs"); do
         order="a b"
         [ $((p % 2)) -eq 0 ] && order="b a"
@@ -161,19 +191,9 @@ for seed in $(seq 1 "$seeds"); do
             # A run whose check fails exits 1 but still prints its line.
             raw=$("$(bin "$side" "$seed")" --workload "$workload" --seed "$bench_seed" \
                 --seconds "$seconds" --trace "$trace" || true)
-            out=$(printf '%s\n' "$raw" | read_run)
-            set -- $out
-            models=${*:4}
-            echo "layout $seed pair $p side $side: $metric=$1 correct=$2 failed=$3${models:+ auto/dense ms: $models}"
-            if [ "$side" = a ]; then runs_a+=("$1"); else runs_b+=("$1"); fi
+            echo "layout $seed pair $p side $side: $(printf '%s\n' "$raw" | read_run "$seed" "$side")"
         done
     done
-    ma=$(printf '%s\n' "${runs_a[@]}" | median)
-    mb=$(printf '%s\n' "${runs_b[@]}" | median)
-    ratio=$(awk -v a="$ma" -v b="$mb" 'BEGIN {printf "%.3f", b / a}')
-    echo "layout $seed: $workload $metric base $ma change $mb ratio $ratio"
-    all_a+=("${runs_a[@]}") all_b+=("${runs_b[@]}")
+    summarize "$seed" "layout $seed"
 done
-ma=$(printf '%s\n' "${all_a[@]}" | median)
-mb=$(printf '%s\n' "${all_b[@]}" | median)
-echo "all layouts: $workload $metric base $ma change $mb ratio $(awk -v a="$ma" -v b="$mb" 'BEGIN {printf "%.3f", b / a}')"
+summarize "" "all layouts"
