@@ -69,6 +69,52 @@ fn bench_layer_shapes(c: &mut Timer) {
     );
 }
 
+/// The backward products of the same layers: a layer whose forward is
+/// `[m, k] · [n, k]ᵀ` has the weight gradient `dW = dyᵀ · x`
+/// (`transposed_matmul` of `dy: [m, n]` and `x: [m, k]`) and the input
+/// gradient `dx = dy · W` (`matmul` of `dy` and `W: [n, k]`), `m·k·n`
+/// multiply-adds each. Training computes no `dx` for a model's first
+/// layer (lenet300.fc1, resnet8.stem); they are timed anyway. LeNet-300's
+/// fc1 and fc2 feed a ReLU, so their `dy` is zero wherever it would be
+/// negative, as in training. Prints a table of ns per multiply-add; run
+/// it at `SB_RUNTIME_THREADS=1`.
+fn bench_backward_shapes(c: &mut Timer) {
+    const GROUP: &str = "backward-grid";
+    let mut group = c.benchmark_group(GROUP);
+    for &(name, m, k, n) in GRID_FORWARD {
+        let mut rng = Rng::seed_from(6);
+        let mut dy = Tensor::rand_normal(&[m, n], 0.0, 1.0, &mut rng);
+        if matches!(name, "lenet300.fc1" | "lenet300.fc2") {
+            dy.map_in_place(|v| v.max(0.0));
+        }
+        let x = Tensor::rand_normal(&[m, k], 0.0, 1.0, &mut rng);
+        let w = Tensor::rand_normal(&[n, k], 0.0, 1.0, &mut rng);
+        group.bench_function(format!("{name}-dW"), |bench| {
+            bench.iter(|| std::hint::black_box(dy.transposed_matmul(&x)))
+        });
+        group.bench_function(format!("{name}-dx"), |bench| {
+            bench.iter(|| std::hint::black_box(dy.matmul(&w)))
+        });
+    }
+    group.finish();
+    let timed = &c.results()[c.results().len() - 2 * GRID_FORWARD.len()..];
+    eprintln!("\n{GROUP}: ns per multiply-add, min and median");
+    eprintln!("  {:<24} {:<14} {:>13} {:>13}", "layer", "m×k×n", "dW", "dx");
+    for (&(name, m, k, n), t) in GRID_FORWARD.iter().zip(timed.chunks_exact(2)) {
+        let macs = (m * k * n) as f64;
+        let (dw, dx) = (per_unit(&t[0], macs), per_unit(&t[1], macs));
+        eprintln!("  {name:<24} {:<14} {dw:>13} {dx:>13}", format!("{m}×{k}×{n}"));
+    }
+    let total_ms = |kind: usize| {
+        timed.chunks_exact(2).map(|t| t[kind].median_ns()).sum::<f64>() / 1e6
+    };
+    eprintln!(
+        "  sum of medians over every shape: dW {:.2} ms, dx {:.2} ms",
+        total_ms(0),
+        total_ms(1)
+    );
+}
+
 /// sb-infer's dense products for one 8-sample batch block (the default
 /// `batch_block`), as `[m, k] · [n, k]ᵀ`: LeNet-300-100's fc1 and fc2 on
 /// 16×16 inputs, and the im2col rows of LeNet-5's convs (1×16×16 input)
@@ -261,6 +307,7 @@ fn main() {
     let mut timer = Timer::new();
     bench_matmul(&mut timer);
     bench_layer_shapes(&mut timer);
+    bench_backward_shapes(&mut timer);
     bench_infer_dense_block(&mut timer);
     bench_conv_lowering(&mut timer);
     bench_conv_forward_backward(&mut timer);

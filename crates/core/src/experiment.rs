@@ -519,9 +519,9 @@ impl ExperimentRunner {
     /// compression × seed) and joined in that same order, so the record
     /// vector — and everything serialized from it — is identical for any
     /// `SB_RUNTIME_THREADS`. Each cell is a pure function of the config:
-    /// the model is rebuilt from `weights_seed` and restored from the
-    /// pretrained snapshot inside the job, so no RNG or parameter state
-    /// leaks between cells regardless of execution order.
+    /// the job copies one network built from `weights_seed` and restored
+    /// from the pretrained snapshot, so no RNG or parameter state leaks
+    /// between cells regardless of execution order.
     ///
     /// With a cache directory set, every finished cell is persisted as
     /// `{id}.cells/cell-s{si}-c{ci}-r{wi}.json` tagged with the config's
@@ -646,7 +646,13 @@ impl ExperimentRunner {
             let _pretrain = sb_trace::span("pretrain");
             Self::pretrain_with_init(config, &data)
         };
-        let snapshot = Arc::new(snapshot);
+        // Every cell starts from a copy of this network: the build and
+        // restore each cell would otherwise repeat, done once.
+        let mut pretrained = config
+            .model
+            .build(data.spec(), &mut Rng::seed_from(config.pretrain.weights_seed));
+        pretrained.restore(&snapshot);
+        let pretrained = Arc::new(pretrained);
         let init_snapshot = Arc::new(init_snapshot);
         if self.verbose {
             eprintln!(
@@ -684,10 +690,9 @@ impl ExperimentRunner {
                     strategy: cell.strategy,
                     compression: cell.compression,
                     seed: cell.seed,
-                    weights_seed: config.pretrain.weights_seed,
                     finetune: finetune.clone(),
                     data: Arc::clone(&data),
-                    snapshot: Arc::clone(&snapshot),
+                    pretrained: Arc::clone(&pretrained),
                     init_snapshot: Arc::clone(&init_snapshot),
                     pre_metrics,
                     fingerprint: fingerprint.clone(),
@@ -771,9 +776,11 @@ fn write_cache_file(path: &Path, contents: &str) {
 }
 
 /// Everything one grid cell needs, owned, so the cell can run on any
-/// worker at any time. Rebuilding the model from `weights_seed` and
-/// restoring the pretrained snapshot (which includes BatchNorm running
-/// stats — they are parameters) makes the cell a pure function of this
+/// worker at any time. Each cell prunes its own copy of `pretrained`, a
+/// network built from `weights_seed` with the pretrained snapshot
+/// (which includes BatchNorm running stats — they are parameters)
+/// restored and never run since, so its caches are empty and its dropout
+/// streams at their seeds. That makes the cell a pure function of this
 /// struct; the previous in-place sequential loop let layer-internal RNG
 /// state (e.g. dropout streams) leak from one cell into the next.
 struct CellJob {
@@ -782,10 +789,9 @@ struct CellJob {
     strategy: StrategyKind,
     compression: f64,
     seed: u64,
-    weights_seed: u64,
     finetune: FinetuneConfig,
     data: Arc<SyntheticVision>,
-    snapshot: Arc<Vec<ParamSnapshot>>,
+    pretrained: Arc<models::Model>,
     init_snapshot: Arc<Vec<ParamSnapshot>>,
     pre_metrics: EvalMetrics,
     fingerprint: String,
@@ -797,9 +803,7 @@ struct CellJob {
 impl CellJob {
     fn run(&self) -> Result<RunRecord, String> {
         let t = Instant::now();
-        let mut weights_rng = Rng::seed_from(self.weights_seed);
-        let mut net = self.model.build(self.data.spec(), &mut weights_rng);
-        net.restore(&self.snapshot);
+        let mut net = models::Model::clone(&self.pretrained);
         let strategy = self.strategy.build();
         let mut rng = Rng::seed_from(self.seed ^ 0x5EED_0000);
         let result = prune_and_retrain(

@@ -107,9 +107,11 @@ pub fn masks_from_scores(
                     })
                     .collect();
             }
-            // Threshold = k-th largest finite score overall.
-            all.sort_unstable_by(|a, b| b.partial_cmp(a).expect("NaN checked above"));
-            let threshold = all[k - 1];
+            // Threshold = k-th largest finite score overall; selection
+            // leaves the k − 1 scores at or above it in front of it.
+            let (_, &mut threshold, _) = all.select_nth_unstable_by(k - 1, |a, b| {
+                b.partial_cmp(a).expect("NaN checked above")
+            });
             // Keep strictly-above first, then fill remaining quota among
             // exact-threshold entries in deterministic (name, index) order.
             let above: usize = all[..k].iter().filter(|&&v| v > threshold).count();
@@ -191,7 +193,8 @@ fn top_k_mask(scores: &Tensor, k: usize) -> Tensor {
     if k == 0 {
         return mask;
     }
-    idx.sort_unstable_by(|&a, &b| {
+    // The first k under (score desc, index asc), in no particular order.
+    idx.select_nth_unstable_by(k - 1, |&a, &b| {
         scores.data()[b]
             .partial_cmp(&scores.data()[a])
             .expect("NaN checked by caller")

@@ -328,13 +328,18 @@ fn layer_and_global_magnitude_agree_on_single_tensor() {
         cfg(),
         |rng| {
             let len = rng.below(56) + 8;
-            (
-                (0..len).map(|_| rng.uniform(-5.0, 5.0)).collect::<Vec<f32>>(),
-                rng.uniform(0.1, 0.9) as f64,
-            )
+            let mut v: Vec<f32> = (0..len).map(|_| rng.uniform(-5.0, 5.0)).collect();
+            let keep = rng.uniform(0.1, 0.9) as f64;
+            // Half the cases round the weights to integers, so the
+            // magnitudes take six values and ties straddle the cut.
+            if rng.coin(0.5) {
+                v.iter_mut().for_each(|x| *x = x.round());
+            }
+            (v, keep)
         },
         |(v, keep)| {
-            // With one tensor, scope cannot matter.
+            // With one tensor, scope cannot matter, ties included: both
+            // keep the lowest indices among equal scores.
             let mut scores = BTreeMap::new();
             let t = Tensor::from_slice(v);
             let mut rng = Rng::seed_from(1);

@@ -43,7 +43,11 @@ use sb_tensor::Tensor;
 /// Calling `backward` or `backward_params` without a preceding
 /// training-mode `forward` on the same batch is a contract violation;
 /// layers panic with a clear message.
-pub trait Layer: Send {
+///
+/// Layers are plain data: every layer is `Clone` (so a boxed one clones
+/// through [`BoxedClone`]) and `Sync`, so one network can be shared
+/// read-only across threads and copied by each.
+pub trait Layer: Send + Sync + BoxedClone {
     /// Computes the layer output.
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor;
 
@@ -74,5 +78,24 @@ pub trait Layer: Send {
     /// layer in this crate overrides it.
     fn spec(&self) -> Option<LayerSpec> {
         None
+    }
+}
+
+/// Clones a layer behind a `Box<dyn Layer>`: parameters, masks, caches
+/// and RNG state included. Implemented for every `Clone` layer.
+pub trait BoxedClone {
+    /// A boxed copy of `self`.
+    fn boxed_clone(&self) -> Box<dyn Layer>;
+}
+
+impl<T: Layer + Clone + 'static> BoxedClone for T {
+    fn boxed_clone(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn Layer> {
+    fn clone(&self) -> Self {
+        self.boxed_clone()
     }
 }

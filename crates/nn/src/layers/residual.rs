@@ -12,7 +12,7 @@ use sb_tensor::{Conv2dGeometry, Rng, Tensor};
 /// When stride or channel count changes, the shortcut is a strided 1×1
 /// convolution followed by batch norm (the "projection shortcut" of
 /// He et al. 2016a); otherwise it is the identity.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ResidualBlock {
     conv1: Conv2d,
     bn1: BatchNorm2d,

@@ -9,7 +9,7 @@ use sb_tensor::Tensor;
 /// A chain of layers executed in order; backward runs them in reverse.
 ///
 /// `Sequential` itself implements [`Layer`], so stages can nest.
-#[derive(Default)]
+#[derive(Default, Clone)]
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
 }

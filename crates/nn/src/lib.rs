@@ -41,8 +41,8 @@ mod spec;
 mod train;
 
 pub use layers::{
-    AvgPool2d, BatchNorm2d, Conv2d, Dropout, Flatten, Layer, Linear, MaxPool2d, ReLU,
-    ResidualBlock, Sequential,
+    AvgPool2d, BatchNorm2d, BoxedClone, Conv2d, Dropout, Flatten, Layer, Linear, MaxPool2d,
+    ReLU, ResidualBlock, Sequential,
 };
 pub use checkpoint::{load_network, save_network, Checkpoint, CheckpointError};
 pub use loss::{cross_entropy, CrossEntropyOutput};

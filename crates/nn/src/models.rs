@@ -20,6 +20,7 @@ use sb_tensor::{Conv2dGeometry, Rng, Tensor};
 ///
 /// All model-zoo constructors return `Model`; custom architectures can be
 /// assembled with [`Model::from_sequential`].
+#[derive(Clone)]
 pub struct Model {
     name: String,
     body: Sequential,

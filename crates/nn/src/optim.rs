@@ -170,7 +170,6 @@ impl Adam {
         self
     }
 
-    #[allow(clippy::needless_range_loop)] // four parallel buffers are indexed together
     fn update_param(&mut self, p: &mut Param, bc1: f32, bc2: f32) {
         if !p.kind().trainable() {
             return;
@@ -184,16 +183,15 @@ impl Adam {
             .entry(p.name().to_string())
             .or_insert_with(|| (Tensor::zeros(grad.dims()), Tensor::zeros(grad.dims())));
         let (b1, b2, eps, lr) = (self.beta1, self.beta2, self.eps, self.lr);
+        let (c1, c2) = (1.0 - b1, 1.0 - b2);
+        let moments = m.data_mut().iter_mut().zip(v.data_mut());
         let value = p.value_mut().data_mut();
-        for i in 0..grad.numel() {
-            let g = grad.data()[i];
-            let mi = b1 * m.data()[i] + (1.0 - b1) * g;
-            let vi = b2 * v.data()[i] + (1.0 - b2) * g * g;
-            m.data_mut()[i] = mi;
-            v.data_mut()[i] = vi;
-            let m_hat = mi / bc1;
-            let v_hat = vi / bc2;
-            value[i] -= lr * m_hat / (v_hat.sqrt() + eps);
+        for ((w, &g), (mi, vi)) in value.iter_mut().zip(grad.data()).zip(moments) {
+            *mi = b1 * *mi + c1 * g;
+            *vi = b2 * *vi + c2 * g * g;
+            let m_hat = *mi / bc1;
+            let v_hat = *vi / bc2;
+            *w -= lr * m_hat / (v_hat.sqrt() + eps);
         }
     }
 }

@@ -13,7 +13,8 @@
 //! safe-Rust loop nest that can be verified against the reference formula,
 //! because the experiments built on top (the ShrinkBench reproduction) care
 //! about correctness of gradients and pruning masks, not about GPU-class
-//! throughput. Two kernels are shaped for speed, and each serves both
+//! throughput. The convolution lowering and the matrix products are
+//! shaped for speed; the lowering and the forward product each serve both
 //! training and sb-infer from one body.
 //!
 //! The convolution lowering ([`im2col`], [`col2im`] and the slice entry
@@ -38,7 +39,11 @@
 //! any slice of rows. It keeps the reference formula's exact float order:
 //! each output starts at `0.0` and adds its products one at a time in
 //! ascending `k`, with no fused multiply-add, so its results are
-//! bit-identical to the plain dot-product loop. The CSR product `a · Wᵀ`
+//! bit-identical to the plain dot-product loop. The backward products,
+//! [`Tensor::matmul`] (input gradients, through the slice entry
+//! [`matmul_rows`]) and [`Tensor::transposed_matmul`] (weight gradients),
+//! run a second register tile in the same order, with no packed copy of
+//! the weights or the patch matrix. The CSR product `a · Wᵀ`
 //! has a kernel of its own, [`SparseMatrix::matmul_rows`], with the same
 //! order: eight rows of `a` copied column-major into a panel, each stored
 //! weight multiplying all eight lanes at once.
@@ -73,7 +78,7 @@ pub use conv::{
 };
 pub use error::TensorError;
 pub use init::Rng;
-pub use linalg::PackedRhs;
+pub use linalg::{matmul_rows, PackedRhs};
 pub use shape::Shape;
 pub use sparse::SparseMatrix;
 pub use tensor::Tensor;

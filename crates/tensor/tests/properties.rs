@@ -4,7 +4,8 @@
 
 use sb_check::{check, prop_assert, prop_assert_eq, Config, Rng};
 use sb_tensor::{
-    col2im, im2col, im2col_into, nchw_to_rows, rows_to_nchw, Conv2dGeometry, PackedRhs, Tensor,
+    col2im, im2col, im2col_into, matmul_rows, nchw_to_rows, rows_to_nchw, Conv2dGeometry,
+    PackedRhs, Tensor,
 };
 
 /// Pinned suite seed: every property below derives its per-case seeds
@@ -391,6 +392,68 @@ fn matmul_transposed_is_bitwise_the_ascending_dot() {
             packed.matmul_rows(&a[..split * k], top);
             packed.matmul_rows(&a[split * k..], bottom);
             assert_bitwise(&rows, &want, n, "PackedRhs::matmul_rows")
+        },
+    );
+}
+
+/// Pinned seed of the backward-product suite below.
+const BACKWARD_SUITE: u64 = 0x7E45_0015;
+
+/// `v` (`rows × cols`, row-major) transposed.
+fn transposed(v: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    (0..cols)
+        .flat_map(|c| (0..rows).map(move |r| v[r * cols + c]))
+        .collect()
+}
+
+/// `matmul` (`dx = dy · W`) and `transposed_matmul` (`dW = dyᵀ · X`) are
+/// the ascending dot on transposed operands, bit for bit. Besides small
+/// shapes that are not tile multiples, one case in four is a conv weight
+/// gradient (`k` ≫ `m`, `n` a patch length) and one in four a conv input
+/// gradient (`m` ≫ `k`); both kernels split those into several row
+/// blocks. With specials on, a zero left factor meets `±∞`, whose
+/// product is NaN like any other.
+#[test]
+fn backward_products_are_bitwise_the_ascending_dot() {
+    check(
+        "tensor::backward_products_are_bitwise_the_ascending_dot",
+        Config::new(BACKWARD_SUITE).cases(256),
+        |rng| {
+            let patch = [27, 36, 72, 144][rng.below(4)];
+            let (m, k, n) = match rng.below(4) {
+                0 => (rng.below(13) + 4, rng.below(1000) + 1000, patch),
+                1 => (rng.below(1000) + 1000, [4, 8, 16][rng.below(3)], patch),
+                _ => (tile_dim(rng), tile_dim(rng), tile_dim(rng)),
+            };
+            ((m, k, n), rng.below(1 << 20) as u64, rng.coin(0.5))
+        },
+        |&((m, k, n), seed, specials)| {
+            let mut rng = Rng::seed_from(seed);
+            let mut values = |len: usize| -> Vec<f32> {
+                (0..len).map(|_| tile_value(&mut rng, specials)).collect()
+            };
+            let (dy, dy_t, rhs) = (values(m * k), values(k * m), values(k * n));
+            let rhs_t = transposed(&rhs, k, n);
+            let tb = Tensor::from_vec(rhs.clone(), &[k, n]).unwrap();
+
+            let dx = Tensor::from_vec(dy.clone(), &[m, k]).unwrap().matmul(&tb);
+            prop_assert_eq!(dx.dims(), &[m, n]);
+            let want = ascending_dot_reference(&dy, &rhs_t, m, k, n);
+            assert_bitwise(dx.data(), &want, n, "matmul")?;
+
+            let dw = Tensor::from_vec(dy_t.clone(), &[k, m]).unwrap().transposed_matmul(&tb);
+            prop_assert_eq!(dw.dims(), &[m, n]);
+            let want_dw = ascending_dot_reference(&transposed(&dy_t, k, m), &rhs_t, m, k, n);
+            assert_bitwise(dw.data(), &want_dw, n, "transposed_matmul")?;
+
+            // The slice entry on a random two-way split of `dy`'s rows,
+            // into outputs that start at `f32::MAX` (see above).
+            let split = rng.below(m + 1);
+            let mut rows = vec![f32::MAX; m * n];
+            let (top, bottom) = rows.split_at_mut(split * n);
+            matmul_rows(&dy[..split * k], &rhs, n, top);
+            matmul_rows(&dy[split * k..], &rhs, n, bottom);
+            assert_bitwise(&rows, &want, n, "matmul_rows")
         },
     );
 }

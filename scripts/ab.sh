@@ -14,10 +14,11 @@
 #
 # For every build the script prints the offsets modulo 64 of the hot
 # symbols: the inference kernels, the training kernels that `grid` runs
-# (`Tensor::matmul`, `Tensor::transposed_matmul`, `col2im`) and the
-# reference mix. Within each layout it then runs PAIRS (default 2) alternating
-# pairs of `benchmark --workload WORKLOAD --seconds SECONDS` (default 20),
-# the first run of a pair alternating between the sides, and prints both
+# (the backward tiles `matmul_rows` for `dx` and `transposed_rows` for
+# `dW`, and `col2im`) and the reference mix. Within each layout it then
+# runs PAIRS (default 2) alternating pairs of `benchmark --workload
+# WORKLOAD --seconds SECONDS` (default 20), the first run of a pair
+# alternating between the sides, and prints both
 # medians of METRIC (default p50_ms) and CHANGE's ratio to BASE, with
 # every run's `correct` and `failed`. METRIC `all` does so for every
 # end-to-end metric (`setup_s`, `p50_ms`, `p90_ms`, `throughput`,
@@ -39,7 +40,7 @@
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
-    sed -n '2,37p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,38p' "$0" | sed 's/^# \{0,1\}//'
     exit 2
 fi
 base=$1 change=$2 workload=$3
@@ -60,8 +61,8 @@ symbols=(
     "exec-matmul_rows|sb_infer::exec::matmul_rows$"
     "tile|sb_tensor::linalg::PackedRhs::matmul_rows$"
     "im2col_into|sb_tensor::conv::im2col_into$"
-    "matmul|sb_tensor::linalg::<impl sb_tensor::tensor::Tensor>::matmul$"
-    "transposed_matmul|sb_tensor::linalg::<impl sb_tensor::tensor::Tensor>::transposed_matmul$"
+    "dx-tile|sb_tensor::linalg::matmul_rows$"
+    "dW-tile|sb_tensor::linalg::transposed_rows$"
     "col2im|sb_tensor::conv::col2im$"
     "bsr|sb_infer::formats::BsrMatrix::matmul_rows$"
     "bitmap|sb_infer::formats::BitmapMatrix::matmul_rows$"
